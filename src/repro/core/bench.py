@@ -122,14 +122,35 @@ def _workload_task():
     return sim, PassTrialTask(simulator=sim, carriers=(carrier,))
 
 
-def _bench_pass_cache(trials: int, seed: int) -> Dict[str, Any]:
-    """Hot path 3: the per-pass link cache, on vs off (serial)."""
-    sim, task = _workload_task()
+def _plane_task():
+    """The Figure 2 workload: the stationary 20-tag plane at 3 m."""
+    from ..world.portal import single_antenna_portal
+    from ..world.scenarios.object_tracking import _make_simulator
+    from ..world.scenarios.read_range import build_tag_plane
+    from .parallel import PassTrialTask
+
+    sim = _make_simulator(single_antenna_portal())
+    return sim, PassTrialTask(simulator=sim, carriers=(build_tag_plane(3.0),))
+
+
+def _cache_on_off(sim, task, trials: int, seed: int) -> Dict[str, Any]:
+    """Time ``task`` with the link cache on, then off, on the same seeds.
+
+    The cache counters are summed over the cached passes. The composed
+    layer answers ``composed_hits`` of the evaluations; a moving scene
+    never repeats a link state, a stationary one does on every round
+    after the first.
+    """
     seeds = SeedSequence(seed)
 
     sim.use_link_cache = True
+    totals: Dict[str, int] = {}
+    cached = []
     start = time.perf_counter()
-    cached = [task(seeds, i) for i in range(trials)]
+    for i in range(trials):
+        cached.append(task(seeds, i))
+        for key, value in sim._last_cache_stats.items():
+            totals[key] = totals.get(key, 0) + value
     cached_s = time.perf_counter() - start
     cache_stats = sim._last_cache_stats
 
@@ -139,6 +160,7 @@ def _bench_pass_cache(trials: int, seed: int) -> Dict[str, Any]:
     uncached_s = time.perf_counter() - start
     sim.use_link_cache = True
 
+    lookups = totals["composed_hits"] + totals["composed_misses"]
     return {
         "passes": trials,
         "cached_s": cached_s,
@@ -149,8 +171,27 @@ def _bench_pass_cache(trials: int, seed: int) -> Dict[str, Any]:
         ),
         "cache_speedup": uncached_s / cached_s if cached_s > 0 else None,
         "bit_identical": cached == uncached,
+        "composed_hits": totals["composed_hits"],
+        "composed_misses": totals["composed_misses"],
+        "composed_hit_ratio": (
+            totals["composed_hits"] / lookups if lookups else None
+        ),
+        "cache_stats": totals,
         "last_pass_cache_stats": cache_stats,
     }
+
+
+def _bench_pass_cache(trials: int, seed: int) -> Dict[str, Any]:
+    """Hot path 3: the per-pass link cache, on vs off (serial).
+
+    The top level times the moving cart; ``stationary_plane`` times the
+    Figure 2 plane, where the composed layer replays link states.
+    """
+    sim, task = _workload_task()
+    doc = _cache_on_off(sim, task, trials, seed)
+    plane_sim, plane_task = _plane_task()
+    doc["stationary_plane"] = _cache_on_off(plane_sim, plane_task, trials, seed)
+    return doc
 
 
 def _bench_workload(
@@ -325,6 +366,14 @@ def summarise(doc: Dict[str, Any]) -> str:
         (
             f"link cache: {pc['cache_speedup']:.2f}x over uncached "
             f"(bit-identical={'OK' if pc['bit_identical'] else 'FAIL'})"
+        ),
+        (
+            f"link cache, stationary plane: "
+            f"{pc['stationary_plane']['cache_speedup']:.2f}x over uncached, "
+            f"composed hit ratio "
+            f"{pc['stationary_plane']['composed_hit_ratio']:.3f} "
+            f"(bit-identical="
+            f"{'OK' if pc['stationary_plane']['bit_identical'] else 'FAIL'})"
         ),
         (
             f"trial time: p50 {wl['serial']['trial_times']['p50_s'] * 1e3:.1f} ms, "

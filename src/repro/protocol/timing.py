@@ -12,7 +12,8 @@ principles so the protocol simulator charges realistic time per slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,10 @@ class Gen2Timing:
         Backscatter link frequency chosen by the reader's Query.
     tag_encoding_symbols_per_bit:
         1 for FM0, 2/4/8 for Miller subcarrier modes.
+
+    The derived durations are computed on first access and then kept on
+    the instance: the inventory loop reads the slot durations on every
+    slot, and the frozen fields they derive from never change.
     """
 
     tari_s: float = 25e-6
@@ -46,24 +51,28 @@ class Gen2Timing:
                 f"{self.tag_encoding_symbols_per_bit!r}"
             )
 
+    def __getstate__(self) -> dict:
+        # Pickle the fields only; the cached durations are recomputed.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     # --- elementary durations -------------------------------------------
 
-    @property
+    @cached_property
     def reader_bit_s(self) -> float:
         """Average reader->tag bit duration (data-1 is 1.5-2x Tari; use 1.75)."""
         return self.tari_s * 1.375  # mean of data-0 (1.0) and data-1 (1.75)
 
-    @property
+    @cached_property
     def tag_bit_s(self) -> float:
         """Tag->reader bit duration at the configured BLF and encoding."""
         return self.tag_encoding_symbols_per_bit / self.blf_hz
 
-    @property
+    @cached_property
     def t1_s(self) -> float:
         """Reader-command to tag-response turnaround (max of RTcal-based bound)."""
         return max(10.0 * self.tag_bit_s, 25e-6)
 
-    @property
+    @cached_property
     def t2_s(self) -> float:
         """Tag-response to next reader-command gap."""
         return 8.0 * self.tag_bit_s
@@ -84,44 +93,44 @@ class Gen2Timing:
         preamble_bits = 6 if self.tag_encoding_symbols_per_bit == 1 else 10
         return (bits + preamble_bits) * self.tag_bit_s
 
-    @property
+    @cached_property
     def query_s(self) -> float:
         """Query command: 22 bits incl. CRC-5."""
         return self.reader_command_s(22)
 
-    @property
+    @cached_property
     def query_rep_s(self) -> float:
         """QueryRep: 4 bits."""
         return self.reader_command_s(4)
 
-    @property
+    @cached_property
     def ack_s(self) -> float:
         """ACK: 18 bits."""
         return self.reader_command_s(18)
 
-    @property
+    @cached_property
     def rn16_s(self) -> float:
         """Tag RN16 reply: 16 bits."""
         return self.tag_reply_s(16)
 
-    @property
+    @cached_property
     def epc_reply_s(self) -> float:
         """Tag PC+EPC+CRC16 reply: 16 + 96 + 16 = 128 bits."""
         return self.tag_reply_s(128)
 
     # --- slot durations ---------------------------------------------------
 
-    @property
+    @cached_property
     def empty_slot_s(self) -> float:
         """QueryRep followed by silence (T1 + T3 timeout)."""
         return self.query_rep_s + self.t1_s + 3.0 * self.tag_bit_s
 
-    @property
+    @cached_property
     def collision_slot_s(self) -> float:
         """QueryRep + garbled RN16: the reader must wait out the RN16."""
         return self.query_rep_s + self.t1_s + self.rn16_s + self.t2_s
 
-    @property
+    @cached_property
     def success_slot_s(self) -> float:
         """Full singulation: QueryRep, RN16, ACK, PC/EPC/CRC reply."""
         return (

@@ -33,7 +33,7 @@ CIRCULAR_TO_LINEAR_LOSS_DB = 3.0
 NULL_FLOOR_DB = -25.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatchAntenna:
     """Circularly polarized area antenna, boresight along +z of its pose.
 
@@ -64,7 +64,7 @@ class PatchAntenna:
         return self.boresight_gain_dbi + pattern_db
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DipoleAntenna:
     """Half-wave dipole tag antenna.
 
@@ -86,6 +86,11 @@ class DipoleAntenna:
         floor = db_to_linear(NULL_FLOOR_DB)
         pattern_db = linear_to_db(max(power, floor))
         return self.broadside_gain_dbi + pattern_db
+
+
+#: The stock half-wave dipole, shared by every tag that does not bring
+#: its own (the antenna is immutable, so one instance serves all).
+STOCK_DIPOLE = DipoleAntenna()
 
 
 def polarization_loss_db(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vec3:
     """An immutable 3-D vector with the handful of operations we need."""
 

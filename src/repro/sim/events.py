@@ -8,6 +8,7 @@ timestamped happenings so traces can be analysed uniformly.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -56,6 +57,12 @@ class TagReadEvent:
     def key(self) -> tuple:
         """Identity used for duplicate elimination in the middleware."""
         return (self.epc, self.reader_id, self.antenna_id)
+
+    def __setstate__(self, state: dict) -> None:
+        # Events unpickled from a worker share the parent's EPC strings
+        # instead of each carrying its own copy.
+        state["epc"] = sys.intern(state["epc"])
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)

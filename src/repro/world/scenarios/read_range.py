@@ -9,7 +9,7 @@ repeated 40 times per distance from 1 m to 10 m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.experiment import DEFAULT_SEED, run_trials
 from ...core.parallel import PassTrialTask
@@ -36,26 +36,34 @@ PAPER_DISTANCES_M = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0)
 PAPER_REPETITIONS = 40
 
 
+#: Carrier-frame position of each grid cell, keyed ``(row, column)``.
+#: Vec3 is immutable, so every plane built shares these.
+_GRID_POSITIONS: Dict[Tuple[int, int], Vec3] = {
+    (row, col): Vec3(
+        -(GRID_COLUMNS - 1) / 2.0 * X_PITCH_M + col * X_PITCH_M,
+        1.0 - (GRID_ROWS - 1) / 2.0 * Y_PITCH_M + row * Y_PITCH_M,
+        0.0,
+    )
+    for row in range(GRID_ROWS)
+    for col in range(GRID_COLUMNS)
+}
+
+
 def build_tag_plane(distance_m: float) -> CarrierGroup:
     """The 20-tag plane at ``distance_m`` from the antenna, facing it."""
     if distance_m <= 0.0:
         raise ValueError(f"distance must be positive, got {distance_m!r}")
     factory = EpcFactory()
     tags: List[Tag] = []
-    x0 = -(GRID_COLUMNS - 1) / 2.0 * X_PITCH_M
-    y0 = 1.0 - (GRID_ROWS - 1) / 2.0 * Y_PITCH_M
-    for row in range(GRID_ROWS):
-        for col in range(GRID_COLUMNS):
-            tags.append(
-                Tag(
-                    epc=factory.next_epc().to_hex(),
-                    local_position=Vec3(
-                        x0 + col * X_PITCH_M, y0 + row * Y_PITCH_M, 0.0
-                    ),
-                    orientation=TagOrientation.CASE_2_HORIZONTAL_FACING,
-                    label=f"grid-{row}-{col}",
-                )
+    for (row, col), position in _GRID_POSITIONS.items():
+        tags.append(
+            Tag(
+                epc=factory.next_epc().to_hex(),
+                local_position=position,
+                orientation=TagOrientation.CASE_2_HORIZONTAL_FACING,
+                label=f"grid-{row}-{col}",
             )
+        )
     return CarrierGroup(
         motion=StationaryPlacement(
             position=Vec3(0.0, 0.0, distance_m),

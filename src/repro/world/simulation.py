@@ -90,6 +90,49 @@ Motion = Union[LinearPass, StationaryPlacement]
 MAX_FADING_HEADROOM_DB = 20.0
 
 
+#: The channel of a tag whose forward link cannot close: silent this round.
+_DEAD_CHANNEL = TagChannel(energized=False, reply_decode_p=0.0)
+
+
+@dataclass(slots=True)
+class ComposedLink:
+    """A composed link for one geometry entry (one link state).
+
+    Besides the geometry entry it hangs under (antenna, tag, tag and
+    occluder positions), a link state is fixed by the reader, the
+    dwell's interference value and the antenna's fault loss; everything
+    else ``compose_link`` consumes — shadowing, detuning, coupling, the
+    fading normals of the tag's coherence cell — is constant for the
+    pass. ``result`` is ``None`` when the forward-link short-circuit
+    fired. The remaining fields exist so a replay can re-emit the
+    waterfall record without recomputing anything.
+    """
+
+    reader_id: str
+    interference_dbm: Optional[float]
+    fault_loss_db: float
+    result: Optional[LinkResult]
+    channel: TagChannel
+    fading_gain: Optional[float]
+    forward_no_fade_dbm: float
+
+
+@dataclass(slots=True)
+class GeometryEntry:
+    """Geometry terms of one (tag, antenna, scene) key.
+
+    ``link`` is the last :class:`ComposedLink` evaluated under this
+    geometry. One slot is enough: an antenna port is driven by one
+    reader at a time, so a second reader only takes it over after a
+    crash, and then simply replaces the stored state.
+    """
+
+    terms: LinkTerms
+    obstruction_db: float
+    reflector: bool
+    link: Optional[ComposedLink] = None
+
+
 class PassLinkCache:
     """Per-pass memo of the link-budget terms that do not change per round.
 
@@ -100,12 +143,21 @@ class PassLinkCache:
 
     * **geometry** — antenna pattern gain, tag pattern gain,
       polarization loss, deterministic path gain, and occluder chords,
-      keyed by ``(antenna_id, epc, tag world position)``. Exact float
-      positions are used (not quantized), so a hit replays terms that
-      are *bit-identical* to recomputation; stationary placements hit on
-      every round after the first, moving passes hit whenever two rounds
-      sample the same position (and still dedup the double obstruction
-      evaluation within a round).
+      keyed by ``(epc, antenna_id, carrier position, positions of the
+      other carriers that have occluders)`` at the round's time: the
+      tag's carrier position pins its world position, and the occluder
+      positions pin its obstruction. Exact float positions are used
+      (not quantized), so a hit replays terms that are *bit-identical*
+      to recomputation; stationary scenes hit on every round after the
+      first, moving passes hit whenever two rounds sample the same
+      scene (and still dedup the double obstruction evaluation within a
+      round).
+    * **composed links** — under each geometry entry, the
+      :class:`ComposedLink` of the last link state evaluated there. A
+      round whose reader, interference value and fault loss match it
+      replays the stored ``LinkResult`` and ``TagChannel`` instead of
+      drawing fading and composing the budget again: the same pure
+      arithmetic on the same inputs gives the same values.
     * **fading normals** — the standard-normal pair behind each Rician
       draw, keyed by ``(reader_id, antenna_id, epc, coherence cell)``.
       The serial simulator derives a fresh seeded stream from exactly
@@ -113,6 +165,10 @@ class PassLinkCache:
       the same pair of normals each time; caching them skips the
       sha256-based stream construction while the K-factor penalty is
       still applied per round (obstruction may vary).
+
+    Counters keep their per-evaluation meaning whichever layer answers:
+    a composed replay still counts as a geometry hit and as the fading
+    hit or short-circuit the full evaluation would have been.
 
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
@@ -125,21 +181,22 @@ class PassLinkCache:
         "fading_normals",
         "geometry_hits",
         "geometry_misses",
+        "composed_hits",
+        "composed_misses",
         "fading_hits",
         "fading_misses",
         "short_circuits",
     )
 
     def __init__(self) -> None:
-        self.geometry: Dict[
-            Tuple[str, str, float, float, float],
-            Tuple[LinkTerms, float, bool],
-        ] = {}
+        self.geometry: Dict[tuple, GeometryEntry] = {}
         self.fading_normals: Dict[
             Tuple[str, str, str, int, int, int], Tuple[float, float]
         ] = {}
         self.geometry_hits = 0
         self.geometry_misses = 0
+        self.composed_hits = 0
+        self.composed_misses = 0
         self.fading_hits = 0
         self.fading_misses = 0
         self.short_circuits = 0
@@ -149,6 +206,8 @@ class PassLinkCache:
         return {
             "geometry_hits": self.geometry_hits,
             "geometry_misses": self.geometry_misses,
+            "composed_hits": self.composed_hits,
+            "composed_misses": self.composed_misses,
             "fading_hits": self.fading_hits,
             "fading_misses": self.fading_misses,
             "short_circuits": self.short_circuits,
@@ -426,30 +485,38 @@ class PortalPassSimulator:
         antenna: AntennaInstallation,
         reader: ReaderAssignment,
         t: float,
-        shadowing_db: float,
-        detuning_db: float,
-        coupling_db: float,
+        scene: tuple,
+        shadowing: Dict[Tuple[str, str], float],
+        detuning_db: Dict[str, float],
+        coupling_db: Dict[str, float],
         interference_dbm: Optional[float],
         fault_loss_db: float,
         seeds: SeedSequence,
         trial: int,
         rec: Optional[PassRecording] = None,
-    ) -> Optional[LinkResult]:
+    ) -> ComposedLink:
         """Cache-assisted equivalent of the per-round link evaluation.
 
-        Returns ``None`` when the forward link cannot close under any
-        plausible fading draw (see :data:`MAX_FADING_HEADROOM_DB`): the
-        tag is not energized, so the caller can report a dead
-        :class:`~repro.protocol.gen2.TagChannel` without drawing fading
-        or composing the budget. Otherwise the returned
-        :class:`LinkResult` is bit-identical to what the uncached path
-        produces for the same round.
+        ``scene`` is the antenna id, the tag's carrier position at ``t``
+        and the positions of the other carriers that have occluders (see
+        :meth:`_scene_keys`): with the tag it pins the tag's world
+        position and the obstruction the geometry entry stores. The
+        per-pass ``shadowing``, ``detuning_db`` and ``coupling_db``
+        tables are only read when the link state has to be evaluated or
+        recorded. The returned link's ``result`` is ``None`` when the
+        forward link cannot close under any plausible fading draw (see
+        :data:`MAX_FADING_HEADROOM_DB`): the tag is not energized, so
+        the fading draw and the composition are skipped and its channel
+        is dead. Otherwise ``result`` is bit-identical to what the
+        uncached path produces for the same round.
         """
-        tag_pos = carrier.tag_world_position(tag, t)
-        geo_key = (antenna.antenna_id, tag.epc, tag_pos.x, tag_pos.y, tag_pos.z)
-        entry = cache.geometry.get(geo_key)
+        epc = tag.epc
+        key = (epc, scene)
+        entry = cache.geometry.get(key)
+        tag_pos = None
         if entry is None:
             cache.geometry_misses += 1
+            tag_pos = carrier.tag_world_position(tag, t)
             obstruction_db, reflector = self._obstruction_db(
                 carriers, antenna.position, tag_pos, t
             )
@@ -463,12 +530,60 @@ class PortalPassSimulator:
             if tag.design is not None:
                 tag_gain_override = tag.pattern_gain_dbi(-geometry.direction)
             terms = compute_link_terms(self.env, geometry, tag_gain_override)
-            entry = (terms, obstruction_db, reflector)
-            cache.geometry[geo_key] = entry
+            entry = GeometryEntry(terms, obstruction_db, reflector)
+            cache.geometry[key] = entry
         else:
             cache.geometry_hits += 1
-        terms, obstruction_db, reflector = entry
-        gain_bonus = self.params.reflection_gain_db if reflector else 0.0
+        link = entry.link
+        if (
+            link is not None
+            and link.reader_id == reader.reader_id
+            and link.interference_dbm == interference_dbm
+            and link.fault_loss_db == fault_loss_db
+        ):
+            cache.composed_hits += 1
+            if link.result is None:
+                cache.short_circuits += 1
+            else:
+                cache.fading_hits += 1
+        else:
+            cache.composed_misses += 1
+            if tag_pos is None:
+                tag_pos = carrier.tag_world_position(tag, t)
+            link = self._compose_cached(
+                cache, entry, tag, tag_pos, antenna, reader,
+                shadowing[(epc, antenna.antenna_id)], detuning_db[epc],
+                coupling_db[epc], interference_dbm, fault_loss_db, seeds, trial,
+            )
+            entry.link = link
+        if rec is not None:
+            self._record_composed(
+                rec, entry, link, tag, antenna, reader, t, trial,
+                shadowing[(epc, antenna.antenna_id)], detuning_db[epc],
+                coupling_db[epc],
+            )
+        return link
+
+    def _compose_cached(
+        self,
+        cache: PassLinkCache,
+        entry: GeometryEntry,
+        tag: Tag,
+        tag_pos: Vec3,
+        antenna: AntennaInstallation,
+        reader: ReaderAssignment,
+        shadowing_db: float,
+        detuning_db: float,
+        coupling_db: float,
+        interference_dbm: Optional[float],
+        fault_loss_db: float,
+        seeds: SeedSequence,
+        trial: int,
+    ) -> ComposedLink:
+        """Evaluate one link state on top of its cached geometry terms."""
+        terms = entry.terms
+        obstruction_db = entry.obstruction_db
+        gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
         tx_power = reader.tx_power_dbm + gain_bonus - fault_loss_db
         # Forward budget with the fading term left out: if even a +20 dB
         # fade cannot wake the chip, skip the draw and the composition.
@@ -483,30 +598,15 @@ class PortalPassSimulator:
         )
         if forward_no_fade + MAX_FADING_HEADROOM_DB < self.env.tag_sensitivity_dbm:
             cache.short_circuits += 1
-            if rec is not None:
-                rec.link(
-                    self._link_record(
-                        terms,
-                        tag,
-                        antenna,
-                        reader,
-                        t,
-                        trial,
-                        gain_bonus,
-                        shadowing_db,
-                        obstruction_db,
-                        detuning_db,
-                        coupling_db,
-                        fault_loss_db,
-                        interference_dbm,
-                        fading_db=None,
-                        result=None,
-                    ),
-                    no_fade_margin_db=(
-                        forward_no_fade - self.env.tag_sensitivity_dbm
-                    ),
-                )
-            return None
+            return ComposedLink(
+                reader.reader_id,
+                interference_dbm,
+                fault_loss_db,
+                None,
+                _DEAD_CHANNEL,
+                None,
+                forward_no_fade,
+            )
         obstructed_k_penalty = (
             obstruction_db * self.params.k_penalty_per_obstruction
         )
@@ -550,29 +650,64 @@ class PortalPassSimulator:
             fading_power_gain=fading_gain,
             interference_dbm=interference_dbm,
         )
-        if rec is not None:
-            fading_db = linear_to_db(max(fading_gain, 1e-300))
-            rec.link(
-                self._link_record(
-                    terms,
-                    tag,
-                    antenna,
-                    reader,
-                    t,
-                    trial,
-                    gain_bonus,
-                    shadowing_db,
-                    obstruction_db,
-                    detuning_db,
-                    coupling_db,
-                    fault_loss_db,
-                    interference_dbm,
-                    fading_db=fading_db,
-                    result=result,
-                ),
-                no_fade_margin_db=result.forward_margin_db - fading_db,
+        return ComposedLink(
+            reader.reader_id,
+            interference_dbm,
+            fault_loss_db,
+            result,
+            TagChannel(
+                energized=result.activated,
+                reply_decode_p=self._decode_probability(result),
+            ),
+            fading_gain,
+            forward_no_fade,
+        )
+
+    def _record_composed(
+        self,
+        rec: PassRecording,
+        entry: GeometryEntry,
+        link: ComposedLink,
+        tag: Tag,
+        antenna: AntennaInstallation,
+        reader: ReaderAssignment,
+        t: float,
+        trial: int,
+        shadowing_db: float,
+        detuning_db: float,
+        coupling_db: float,
+    ) -> None:
+        """Emit the waterfall record of a cached evaluation at round time ``t``."""
+        gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
+        result = link.result
+        if result is None:
+            fading_db = None
+            no_fade_margin_db = (
+                link.forward_no_fade_dbm - self.env.tag_sensitivity_dbm
             )
-        return result
+        else:
+            fading_db = linear_to_db(max(link.fading_gain, 1e-300))
+            no_fade_margin_db = result.forward_margin_db - fading_db
+        rec.link(
+            self._link_record(
+                entry.terms,
+                tag,
+                antenna,
+                reader,
+                t,
+                trial,
+                gain_bonus,
+                shadowing_db,
+                entry.obstruction_db,
+                detuning_db,
+                coupling_db,
+                link.fault_loss_db,
+                link.interference_dbm,
+                fading_db=fading_db,
+                result=result,
+            ),
+            no_fade_margin_db=no_fade_margin_db,
+        )
 
     def _link_record(
         self,
@@ -917,11 +1052,18 @@ class PortalPassSimulator:
                         else sum_powers_dbm(interference, burst)
                     )
             last_result: Dict[str, LinkResult] = {}
+            # Filled on the round's first cached evaluation: many rounds
+            # of a long pass evaluate no tag at all.
+            scenes: Dict[int, tuple] = {}
 
             def channel(epc: str) -> TagChannel:
                 carrier, tag = epc_index[epc]
                 if cache is not None:
-                    result = self._evaluate_tag_cached(
+                    if not scenes:
+                        scenes.update(
+                            self._scene_keys(antenna.antenna_id, carriers, t)
+                        )
+                    link = self._evaluate_tag_cached(
                         cache,
                         carriers,
                         carrier,
@@ -929,25 +1071,22 @@ class PortalPassSimulator:
                         antenna,
                         reader,
                         t,
-                        shadowing[(epc, antenna.antenna_id)],
-                        detuning_db[epc],
-                        coupling_db[epc],
+                        scenes[id(carrier)],
+                        shadowing,
+                        detuning_db,
+                        coupling_db,
                         interference,
                         fault_loss_db,
                         seeds,
                         trial,
                         rec,
                     )
-                    if result is None:
-                        # Forward link provably cannot close this round;
-                        # an un-energized tag never replies, so nothing
-                        # downstream consumes a LinkResult for it.
-                        return TagChannel(energized=False, reply_decode_p=0.0)
-                    last_result[epc] = result
-                    return TagChannel(
-                        energized=result.activated,
-                        reply_decode_p=self._decode_probability(result),
-                    )
+                    # A short-circuited link has no result: its tag is
+                    # not energized, never replies, and so nothing
+                    # downstream consumes a LinkResult for it.
+                    if link.result is not None:
+                        last_result[epc] = link.result
+                    return link.channel
                 fading = self.env.channel.fading
                 # Evaluate obstruction first (it degrades the K-factor),
                 # then draw fading from the degraded channel. The draw is
@@ -1092,6 +1231,28 @@ class PortalPassSimulator:
             # Query even if the field was empty).
             t += max(round_result.duration_s, self.timing.query_s)
         return events, rounds
+
+    @staticmethod
+    def _scene_keys(
+        antenna_id: str, carriers: Sequence[CarrierGroup], t: float
+    ) -> Dict[int, tuple]:
+        """Per-carrier scene part of the geometry-cache key at time ``t``.
+
+        For each carrier (by ``id``): the antenna, the carrier's own
+        position — which pins its tags and its own occluders — then the
+        position of every other carrier that has occluders. An occluder
+        riding another carrier can cross a stationary tag's sight line,
+        so the tag's own position alone does not pin its obstruction.
+        """
+        positions = [(c, c.motion.position_at(t)) for c in carriers]
+        scenes: Dict[int, tuple] = {}
+        for carrier, own in positions:
+            scene = [antenna_id, own.x, own.y, own.z]
+            for other, pos in positions:
+                if other is not carrier and other.occluders:
+                    scene += (pos.x, pos.y, pos.z)
+            scenes[id(carrier)] = tuple(scene)
+        return scenes
 
     def _other_radios(self, reader: ReaderAssignment) -> List[ReaderRadio]:
         """Radios of every *other* reader in the portal (the aggressors)."""

@@ -17,10 +17,11 @@ antenna" worst cases.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from ..rf.antenna import DipoleAntenna
+from ..rf.antenna import STOCK_DIPOLE, DipoleAntenna
 from ..rf.geometry import Vec3
 from ..rf.materials import AIR, Material
 
@@ -78,7 +79,7 @@ class TagOrientation(enum.Enum):
 ALL_ORIENTATIONS: Tuple[TagOrientation, ...] = tuple(TagOrientation)
 
 
-@dataclass
+@dataclass(slots=True)
 class Tag:
     """One passive tag instance placed on a carrier.
 
@@ -110,7 +111,7 @@ class Tag:
     orientation: TagOrientation = TagOrientation.CASE_2_HORIZONTAL_FACING
     mount_material: Material = AIR
     mount_gap_m: float = 0.01
-    antenna: DipoleAntenna = field(default_factory=DipoleAntenna)
+    antenna: DipoleAntenna = STOCK_DIPOLE
     label: str = ""
     design: Optional["TagDesignRef"] = None
 
@@ -120,6 +121,10 @@ class Tag:
                 f"EPC hex must be 24 digits (96 bits), got {len(self.epc)}"
             )
         int(self.epc, 16)  # raises ValueError on malformed hex
+        # One string object per EPC (and label), however many tags and
+        # read events name it: scenes rebuilt per call repeat them.
+        self.epc = sys.intern(self.epc)
+        self.label = sys.intern(self.label)
         if self.mount_gap_m < 0.0:
             raise ValueError(
                 f"mount gap must be non-negative, got {self.mount_gap_m!r}"

@@ -1,5 +1,7 @@
 """Tests for Gen 2 air-interface timing."""
 
+import pickle
+
 import pytest
 
 from repro.protocol.timing import (
@@ -63,6 +65,44 @@ class TestDurations:
     def test_success_slot_in_low_milliseconds(self):
         # A full Miller-4 singulation is on the order of 2-10 ms.
         assert 1e-3 < DEFAULT_TIMING.success_slot_s < 10e-3
+
+
+class TestDerivedDurationsCached:
+    NAMES = (
+        "reader_bit_s",
+        "tag_bit_s",
+        "t1_s",
+        "t2_s",
+        "query_s",
+        "query_rep_s",
+        "ack_s",
+        "rn16_s",
+        "epc_reply_s",
+        "empty_slot_s",
+        "collision_slot_s",
+        "success_slot_s",
+    )
+
+    def test_cached_values_equal_the_expressions(self):
+        t = Gen2Timing(tari_s=12.5e-6, blf_hz=320e3, tag_encoding_symbols_per_bit=2)
+        values = {name: getattr(t, name) for name in self.NAMES}
+        # Second access reads the cache and must not change anything.
+        assert {name: getattr(t, name) for name in self.NAMES} == values
+        assert values["query_s"] == t.reader_command_s(22)
+        assert values["epc_reply_s"] == t.tag_reply_s(128)
+        assert values["empty_slot_s"] == (
+            t.reader_command_s(4) + max(10.0 * t.tag_bit_s, 25e-6)
+            + 3.0 * t.tag_bit_s
+        )
+
+    def test_pickle_carries_fields_only(self):
+        t = Gen2Timing(tari_s=6.25e-6)
+        before = len(pickle.dumps(t))
+        t.success_slot_s
+        assert len(pickle.dumps(t)) == before
+        restored = pickle.loads(pickle.dumps(t))
+        assert restored == t
+        assert restored.success_slot_s == t.success_slot_s
 
 
 class TestRoundDuration:

@@ -1,6 +1,7 @@
 """Tests for antenna patterns and polarization coupling."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,12 @@ from repro.rf.antenna import (
 from repro.rf.geometry import Rotation, Vec3
 
 angles = st.floats(min_value=0.01, max_value=math.pi - 0.01)
+
+
+@pytest.mark.parametrize("antenna", [PatchAntenna(), DipoleAntenna()])
+def test_antennas_are_slotted_and_picklable(antenna):
+    assert not hasattr(antenna, "__dict__")
+    assert pickle.loads(pickle.dumps(antenna)) == antenna
 
 
 class TestPatchAntenna:

@@ -1,6 +1,7 @@
 """Unit and property tests for vectors, rotations, poses, occlusion."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,11 @@ angles = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
 class TestVec3:
+    def test_slotted_and_picklable(self):
+        v = Vec3(1.0, -2.0, 3.5)
+        assert not hasattr(v, "__dict__")
+        assert pickle.loads(pickle.dumps(v)) == v
+
     def test_add_sub(self):
         a = Vec3(1, 2, 3)
         b = Vec3(4, 5, 6)

@@ -1,5 +1,7 @@
 """Tests for read traces and event types."""
 
+import pickle
+
 import pytest
 
 from repro.sim.events import SlotOutcome, TagReadEvent
@@ -29,6 +31,14 @@ class TestTagReadEvent:
     def test_key(self):
         event = _event(1.0)
         assert event.key() == ("E" * 24, "r0", "a0")
+
+    def test_unpickled_epc_is_interned(self):
+        # Build the EPC at run time so it is not a shared literal.
+        epc = "".join(["E"] * 24)
+        event = TagReadEvent(1.0, epc, "r0", "a0", -60.0)
+        restored = pickle.loads(pickle.dumps(event))
+        assert restored == event
+        assert restored.epc is pickle.loads(pickle.dumps(event)).epc
 
 
 class TestReadTrace:

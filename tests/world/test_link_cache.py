@@ -6,9 +6,16 @@ equal. The cache is a pure memo plus a provably-sound short-circuit,
 so any observable difference is a bug.
 """
 
+import pytest
+
+import repro.world.simulation as simulation
 from repro.core.calibration import PaperSetup
-from repro.faults import FaultPlan, ReaderCrash
+from repro.faults import AntennaFault, FaultPlan, ReaderCrash
+from repro.obs.recorder import Recorder
+from repro.rf.geometry import Vec3
+from repro.rf.materials import BODY
 from repro.sim.rng import SeedSequence
+from repro.world.motion import LinearPass
 from repro.world.objects import BoxFace
 from repro.world.portal import (
     dual_antenna_portal,
@@ -19,16 +26,22 @@ from repro.world.portal import (
 from repro.world.scenarios.human_tracking import build_walk
 from repro.world.scenarios.object_tracking import build_box_cart
 from repro.world.scenarios.read_range import build_tag_plane
-from repro.world.simulation import PassLinkCache, PortalPassSimulator
+from repro.world.simulation import (
+    CarrierGroup,
+    Occluder,
+    PassLinkCache,
+    PortalPassSimulator,
+)
 
 
-def _sim(portal, use_link_cache):
+def _sim(portal, use_link_cache, recorder=None):
     setup = PaperSetup()
     return PortalPassSimulator(
         portal=portal,
         env=setup.env,
         params=setup.params,
         use_link_cache=use_link_cache,
+        recorder=recorder,
     )
 
 
@@ -94,6 +107,103 @@ class TestCacheParity:
         stats = _assert_parity(single_antenna_portal(), [carrier], trials=1)
         assert stats["short_circuits"] > 0
 
+    @pytest.mark.parametrize("distance_m", [1.0, 2.0, 3.0])
+    def test_occluder_on_another_carrier_crosses_stationary_plane(
+        self, distance_m
+    ):
+        # The tags never move, but a body riding its own carrier walks
+        # out of their sight lines: the cache key must see it move.
+        plane = build_tag_plane(distance_m)
+        walker = CarrierGroup(
+            motion=LinearPass(
+                start_position=Vec3(0.0, 1.0, distance_m / 2.0),
+                velocity=Vec3(1.0, 0.0, 0.0),
+                duration_s=plane.motion.duration_s,
+            ),
+            occluders=[Occluder(Vec3.zero(), 0.25, BODY)],
+        )
+        _assert_parity(single_antenna_portal(), [plane, walker], trials=5)
+
+
+def _stationary_stats(portal, fault_plan=None, distance_m=2.0):
+    stats = _assert_parity(
+        portal, [build_tag_plane(distance_m)], fault_plan=fault_plan
+    )
+    # A stationary plane repeats its link states round after round, so
+    # the composed layer must answer some evaluations.
+    assert stats["composed_hits"] > 0
+    assert stats["composed_misses"] > 0
+    return stats
+
+
+class TestComposedLayer:
+    def test_counters_keep_their_per_evaluation_meaning(self):
+        stats = _stationary_stats(single_antenna_portal())
+        assert stats["composed_hits"] > stats["composed_misses"]
+        lookups = stats["geometry_hits"] + stats["geometry_misses"]
+        assert stats["composed_hits"] + stats["composed_misses"] == lookups
+        # Every replay stands for a fading hit or a short-circuit that
+        # the full evaluation would have counted.
+        assert (
+            stats["fading_hits"] + stats["fading_misses"] + stats["short_circuits"]
+            == lookups
+        )
+
+    def test_recorded_parity(self):
+        seeds = SeedSequence(20070625)
+        plane = build_tag_plane(3.0)
+        observations = []
+        for use_link_cache in (True, False):
+            sim = _sim(
+                single_antenna_portal(),
+                use_link_cache,
+                Recorder(capture_link_budget=True),
+            )
+            observations.append(sim.run_pass([plane], seeds, 0).obs)
+        cached, oracle = observations
+        assert len(cached.link_records) == len(oracle.link_records)
+        assert cached.link_records == oracle.link_records
+        # Replays are stamped with their own round's time.
+        assert len({r.time for r in cached.link_records}) > 1
+
+    def test_non_drm_dual_reader_interference_per_dwell(self):
+        stats = _stationary_stats(dual_reader_portal(dense_reader_mode=False))
+        # Interference changes per dwell, so some rounds must miss the
+        # stored state even though the geometry hit.
+        assert stats["composed_misses"] > stats["geometry_misses"]
+
+    def test_detuned_antenna_fault_loss(self):
+        plan = FaultPlan(
+            antenna_faults=(
+                AntennaFault("reader-0", "ant-0", 0.1, 0.3, gain_penalty_db=6.0),
+            )
+        )
+        stats = _stationary_stats(single_antenna_portal(), fault_plan=plan)
+        assert stats["composed_misses"] > stats["geometry_misses"]
+
+    def test_failover_takeover(self):
+        plan = FaultPlan(crashes=(ReaderCrash("reader-0", 0.05, None),))
+        _stationary_stats(failover_portal(), fault_plan=plan)
+
+    def test_compose_link_called_once_per_link_state(self, monkeypatch):
+        calls = []
+        real = simulation.compose_link
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "compose_link", counting)
+        plane = build_tag_plane(3.0)
+        sim = _sim(single_antenna_portal(), True)
+        result = sim.run_pass([plane], SeedSequence(20070625), 0)
+        stats = sim._last_cache_stats
+        assert result.rounds > 1
+        # One antenna, one reader, no interference and no faults: one
+        # link state per tag that is not short-circuited.
+        assert len(calls) == len(plane.tags) - stats["short_circuits"] > 0
+        assert stats["composed_misses"] == len(plane.tags)
+
 
 class TestCacheObject:
     def test_stats_shape(self):
@@ -102,6 +212,8 @@ class TestCacheObject:
         assert set(stats) == {
             "geometry_hits",
             "geometry_misses",
+            "composed_hits",
+            "composed_misses",
             "fading_hits",
             "fading_misses",
             "short_circuits",

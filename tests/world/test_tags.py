@@ -1,7 +1,10 @@
 """Tests for tag inlays and orientations."""
 
+import pickle
+
 import pytest
 
+from repro.rf.antenna import STOCK_DIPOLE
 from repro.rf.geometry import Vec3
 from repro.rf.materials import AIR, BODY, METAL
 from repro.world.tags import ALL_ORIENTATIONS, Tag, TagOrientation
@@ -45,6 +48,17 @@ class TestTag:
     def test_valid_tag(self):
         tag = Tag(epc=_epc())
         assert tag.orientation is TagOrientation.CASE_2_HORIZONTAL_FACING
+
+    def test_tags_share_the_stock_dipole_and_interned_epcs(self):
+        a = Tag(epc="".join(["A"] * 24))
+        b = Tag(epc="".join(["A"] * 24))
+        assert a.antenna is STOCK_DIPOLE and b.antenna is STOCK_DIPOLE
+        assert a.epc is b.epc
+
+    def test_slotted_tag_pickles(self):
+        tag = Tag(epc=_epc(), local_position=Vec3(0.1, 0.2, 0.3), label="x")
+        assert not hasattr(tag, "__dict__")
+        assert pickle.loads(pickle.dumps(tag)) == tag
 
     def test_epc_length_enforced(self):
         with pytest.raises(ValueError):
