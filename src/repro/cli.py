@@ -12,7 +12,6 @@ Examples
     python -m repro stats runs/table2
     python -m repro plan --target 0.995
     python -m repro report
-    python -m repro bench --quick
     python -m repro validate
     python -m repro validate --bless --golden cart-front
     python -m repro lint src/ --json
@@ -557,24 +556,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return _finish(args, payload, table.render())
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .core.bench import run_benchmark, summarise, write_benchmark
-
-    doc = run_benchmark(
-        workers=args.workers, quick=args.quick, seed=args.seed
-    )
-    path = write_benchmark(doc, args.output)
-    payload = {"command": "bench", "output": path, **doc}
-    text = f"{summarise(doc)}\nwrote {path}"
-    _finish(args, payload, text)
-    if not doc["workload"]["parity"]:
-        print(
-            "error: parallel outcomes differ from serial", file=sys.stderr
-        )
-        return 1
-    return 0
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     import os
 
@@ -823,29 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json(report)
     report.set_defaults(handler=_cmd_report)
-
-    bench = sub.add_parser(
-        "bench",
-        help="record the perf suite to a machine-readable BENCH_<date>.json",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="reduced iteration counts (for CI smoke runs)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the parallel workload (default: min(4, cpus))",
-    )
-    bench.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED,
-        help="root seed for the workload trials",
-    )
-    bench.add_argument(
-        "--output", default=None,
-        help="output path (default: BENCH_<date>.json in the cwd)",
-    )
-    _add_json(bench)
-    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 

@@ -23,7 +23,6 @@ from .parallel import (
     REPRO_WORKERS_ENV,
     PassTrialTask,
     execute_timed_trials,
-    execute_trials,
     resolve_workers,
     task_is_picklable,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "REPRO_WORKERS_ENV",
     "PassTrialTask",
     "execute_timed_trials",
-    "execute_trials",
     "resolve_workers",
     "task_is_picklable",
     "EmpiricalReliabilityModel",

@@ -145,6 +145,8 @@ def sweep(
     over one shared process pool, so narrow sweeps with few repetitions
     per point still saturate the machine.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
     points: List[Tuple[float, int, Callable[[SeedSequence, int], T]]] = []
     seen: Dict[str, float] = {}
     for value in values:

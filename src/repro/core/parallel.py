@@ -16,10 +16,10 @@ This module is the machinery behind ``run_trials(..., workers=N)`` and
   :meth:`~repro.world.simulation.PortalPassSimulator.run_pass`, the
   replacement for the scenario-local closures that cannot cross a
   process boundary;
-* :func:`execute_trials` / :func:`submit_trials` /
-  :func:`gather_trials` — chunked fan-out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`, with results
-  collected in trial-index order.
+* :func:`execute_timed_trials` / :func:`submit_timed_trials` /
+  :func:`gather_timed_trials` — chunked fan-out over a
+  :class:`~concurrent.futures.ProcessPoolExecutor`, with outcomes and
+  their per-trial wall times collected in trial-index order.
 
 Closures still work everywhere: when a trial callable cannot be
 pickled, the harness silently falls back to the serial loop, so
@@ -104,31 +104,19 @@ class PassTrialTask:
         )
 
 
-def _run_trial_chunk(
-    task: Callable[[SeedSequence, int], T],
-    root_seed: int,
-    start: int,
-    stop: int,
-) -> List[T]:
-    """Worker entry point: run a contiguous block of trial indices.
-
-    A fresh :class:`SeedSequence` is built from the root seed inside
-    the worker; because streams are derived statelessly from
-    ``(root_seed, name, trial)``, the outcomes match the serial loop
-    exactly regardless of which worker runs which block.
-    """
-    seeds = SeedSequence(root_seed)
-    return [task(seeds, trial) for trial in range(start, stop)]
-
-
 def _run_trial_chunk_timed(
     task: Callable[[SeedSequence, int], T],
     root_seed: int,
     start: int,
     stop: int,
 ) -> List[Tuple[int, T, float]]:
-    """Like :func:`_run_trial_chunk`, pairing each outcome with its
-    trial index and wall time in seconds.
+    """Worker entry point: run a contiguous block of trial indices,
+    pairing each outcome with its trial index and wall time in seconds.
+
+    A fresh :class:`SeedSequence` is built from the root seed inside
+    the worker; because streams are derived statelessly from
+    ``(root_seed, name, trial)``, the outcomes match the serial loop
+    exactly regardless of which worker runs which block.
 
     The timing rides home **with the result** — workers share no state
     with the parent, so this is how per-trial latency from a process
@@ -160,51 +148,6 @@ def _chunk_bounds(repetitions: int, chunks: int) -> List[Tuple[int, int]]:
     return bounds
 
 
-def submit_trials(
-    executor: ProcessPoolExecutor,
-    task: Callable[[SeedSequence, int], T],
-    repetitions: int,
-    root_seed: int,
-    chunks: int,
-) -> List["Future[List[T]]"]:
-    """Submit a trial loop as contiguous chunks; pair with :func:`gather_trials`."""
-    return [
-        executor.submit(_run_trial_chunk, task, root_seed, start, stop)
-        for start, stop in _chunk_bounds(repetitions, chunks)
-    ]
-
-
-def gather_trials(futures: Sequence["Future[List[T]]"]) -> List[T]:
-    """Collect chunked results back into trial-index order."""
-    outcomes: List[T] = []
-    for future in futures:
-        outcomes.extend(future.result())
-    return outcomes
-
-
-def execute_trials(
-    task: Callable[[SeedSequence, int], T],
-    repetitions: int,
-    root_seed: int,
-    workers: int,
-    executor: Optional[ProcessPoolExecutor] = None,
-) -> List[T]:
-    """Run one trial loop on a process pool, in trial-index order.
-
-    ``executor`` lets a sweep reuse one pool across many values; when
-    omitted, a pool of ``workers`` processes is created for this loop
-    and torn down afterwards.
-    """
-    if executor is not None:
-        return gather_trials(
-            submit_trials(executor, task, repetitions, root_seed, workers)
-        )
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return gather_trials(
-            submit_trials(pool, task, repetitions, root_seed, workers)
-        )
-
-
 def submit_timed_trials(
     executor: ProcessPoolExecutor,
     task: Callable[[SeedSequence, int], T],
@@ -212,7 +155,8 @@ def submit_timed_trials(
     root_seed: int,
     chunks: int,
 ) -> List["Future[List[Tuple[int, T, float]]]"]:
-    """Timed counterpart of :func:`submit_trials`."""
+    """Submit a trial loop as contiguous chunks; pair with
+    :func:`gather_timed_trials`."""
     return [
         executor.submit(_run_trial_chunk_timed, task, root_seed, start, stop)
         for start, stop in _chunk_bounds(repetitions, chunks)
@@ -247,8 +191,13 @@ def execute_timed_trials(
     workers: int,
     executor: Optional[ProcessPoolExecutor] = None,
 ) -> Tuple[List[T], List[float]]:
-    """Timed counterpart of :func:`execute_trials`: same outcomes, plus
-    each trial's wall time as measured inside its worker."""
+    """Run one trial loop on a process pool, in trial-index order.
+
+    Returns the outcomes and each trial's wall time as measured inside
+    its worker. ``executor`` lets a caller reuse one pool across many
+    loops; when omitted, a pool of ``workers`` processes is created for
+    this loop and torn down afterwards.
+    """
     if executor is not None:
         return gather_timed_trials(
             submit_timed_trials(executor, task, repetitions, root_seed, workers)

@@ -173,7 +173,11 @@ class PassLinkCache:
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
     re-uses the owning reader's entries). Counters feed
-    ``PortalPassSimulator._last_cache_stats`` and the bench harness.
+    ``PortalPassSimulator._last_cache_stats``.
+
+    ``PortalPassSimulator(use_link_cache=False)`` bypasses the cache;
+    that uncached path is the reference the parity tests and the
+    benchmark's output check compare against.
     """
 
     __slots__ = (
@@ -359,8 +363,9 @@ class PortalPassSimulator:
         #: allocation, bit-identical results.
         self.recorder = recorder
         #: The per-pass link cache is bit-identical to direct evaluation
-        #: (see :class:`PassLinkCache`); the flag exists for the parity
-        #: tests and for A/B benchmarking, not because results differ.
+        #: (see :class:`PassLinkCache`); the flag exists so the parity
+        #: tests and the benchmark's output check can run the uncached
+        #: reference, not because results differ.
         self.use_link_cache = use_link_cache
         #: Counter snapshot from the most recent :meth:`run_pass`;
         #: ``None`` before the first pass or when the cache is disabled.

@@ -9,7 +9,7 @@ from repro.core.parallel import (
     REPRO_WORKERS_ENV,
     PassTrialTask,
     _chunk_bounds,
-    execute_trials,
+    execute_timed_trials,
     resolve_workers,
     task_is_picklable,
 )
@@ -91,11 +91,14 @@ class TestParallelExecution:
         parallel = run_trials("t", task, 9, seed=42, workers=3)
         assert parallel.outcomes == serial.outcomes
 
-    def test_execute_trials_matches_inline_loop(self):
+    def test_execute_timed_trials_matches_inline_loop(self):
         task = SquareTask()
         seeds = SeedSequence(7)
         expected = [task(seeds, i) for i in range(5)]
-        assert execute_trials(task, 5, 7, workers=2) == expected
+        outcomes, seconds = execute_timed_trials(task, 5, 7, workers=2)
+        assert outcomes == expected
+        assert len(seconds) == len(outcomes)
+        assert all(elapsed >= 0.0 for elapsed in seconds)
 
     def test_closure_falls_back_to_serial(self):
         # A closure cannot cross the process boundary; run_trials must
@@ -130,3 +133,14 @@ class TestParallelSweep:
         for value in serial:
             assert serial[value].outcomes == parallel[value].outcomes
             assert serial[value].label == parallel[value].label
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_rejects_zero_repetitions(self, workers):
+        with pytest.raises(ValueError):
+            sweep(
+                lambda v: f"v={v}",
+                [1.0],
+                lambda v: SquareTask(),
+                0,
+                workers=workers,
+            )

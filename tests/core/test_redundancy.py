@@ -37,6 +37,12 @@ class TestCombinedReliability:
             0.9944, abs=1e-3
         )
 
+    def test_eight_opportunities(self):
+        # Table 1's four box locations, two tags on each.
+        assert combined_reliability([0.87, 0.83, 0.63, 0.29] * 2) == pytest.approx(
+            1.0 - (0.13 * 0.17 * 0.37 * 0.71) ** 2
+        )
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             combined_reliability([])

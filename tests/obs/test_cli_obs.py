@@ -27,7 +27,6 @@ class TestJsonFlag:
             ["faults", "--json"],
             ["plan", "--json"],
             ["report", "--json"],
-            ["bench", "--json"],
             ["explain", "--json"],
             ["stats", "somewhere", "--json"],
         ):

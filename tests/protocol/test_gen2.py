@@ -146,8 +146,9 @@ class TestSingleRound:
             result.empties + result.collisions + result.successes
             == len(result.slots)
         )
-        # Frame size 16: all slots examined.
+        # Frame size 16: all slots examined, in one round.
         assert len(result.slots) == 16
+        assert result.rounds == 1
 
     def test_duration_positive(self):
         result = run_inventory_round(

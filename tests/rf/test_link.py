@@ -98,6 +98,19 @@ class TestForwardLink:
             base.forward_power_dbm - 6.02, abs=0.05
         )
 
+    def test_forward_power_below_transmit_power(self):
+        # evaluate_link composes through compose_link, so this covers both.
+        result = evaluate_link(
+            _clean_env(),
+            30.0,
+            _geometry(1.0),
+            obstruction_loss_db=5.0,
+            tag_detuning_db=3.0,
+            shadowing_db=-1.5,
+            fading_power_gain=0.8,
+        )
+        assert result.forward_power_dbm < 30.0
+
     def test_negative_fading_rejected(self):
         with pytest.raises(ValueError):
             evaluate_link(

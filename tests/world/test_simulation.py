@@ -54,6 +54,7 @@ class TestBasicPass:
     def test_close_facing_tag_is_read(self):
         result = _sim().run_pass([_simple_carrier()], SeedSequence(1), 0)
         assert len(result.read_epcs) == 1
+        assert result.duration_s == pytest.approx(3.0)
 
     def test_deterministic_given_seed_and_trial(self):
         carrier = _simple_carrier()
