@@ -189,19 +189,14 @@ def execute_timed_trials(
     repetitions: int,
     root_seed: int,
     workers: int,
-    executor: Optional[ProcessPoolExecutor] = None,
 ) -> Tuple[List[T], List[float]]:
     """Run one trial loop on a process pool, in trial-index order.
 
     Returns the outcomes and each trial's wall time as measured inside
-    its worker. ``executor`` lets a caller reuse one pool across many
-    loops; when omitted, a pool of ``workers`` processes is created for
-    this loop and torn down afterwards.
+    its worker. A pool of ``workers`` processes is created for this
+    loop and torn down afterwards; to share one pool across loops, use
+    :func:`submit_timed_trials` and :func:`gather_timed_trials`.
     """
-    if executor is not None:
-        return gather_timed_trials(
-            submit_timed_trials(executor, task, repetitions, root_seed, workers)
-        )
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return gather_timed_trials(
             submit_timed_trials(pool, task, repetitions, root_seed, workers)

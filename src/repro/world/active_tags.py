@@ -172,7 +172,9 @@ class ActiveTagSimulator:
     ) -> float:
         tag_pos = carrier.tag_world_position(tag, t)
         obstruction_db, _ = self._sim._obstruction_db(
-            carriers, antenna.position, tag_pos, t
+            [(c, c.motion.position_at(t)) for c in carriers],
+            antenna.position,
+            tag_pos,
         )
         direction = (tag_pos - antenna.position).normalized()
         reader_gain = self._sim.env.reader_antenna.gain_dbi(

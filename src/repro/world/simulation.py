@@ -72,7 +72,7 @@ from ..rf.link import (
 )
 from ..rf.materials import Material
 from ..sim.events import TagReadEvent
-from ..sim.rng import SeedSequence
+from ..sim.rng import RandomStream, SeedSequence
 from ..sim.trace import ReadTrace
 from .motion import LinearPass, StationaryPlacement
 from .portal import AntennaInstallation, Portal, ReaderAssignment
@@ -105,7 +105,9 @@ class ComposedLink:
     fading normals of the tag's coherence cell — is constant for the
     pass. ``result`` is ``None`` when the forward-link short-circuit
     fired. The remaining fields exist so a replay can re-emit the
-    waterfall record without recomputing anything.
+    waterfall record without recomputing anything; the reference
+    evaluation, which never short-circuits, leaves
+    ``forward_no_fade_dbm`` at ``None``.
     """
 
     reader_id: str
@@ -114,7 +116,7 @@ class ComposedLink:
     result: Optional[LinkResult]
     channel: TagChannel
     fading_gain: Optional[float]
-    forward_no_fade_dbm: float
+    forward_no_fade_dbm: Optional[float]
 
 
 @dataclass(slots=True)
@@ -150,8 +152,7 @@ class PassLinkCache:
       (not quantized), so a hit replays terms that are *bit-identical*
       to recomputation; stationary scenes hit on every round after the
       first, moving passes hit whenever two rounds sample the same
-      scene (and still dedup the double obstruction evaluation within a
-      round).
+      scene.
     * **composed links** — under each geometry entry, the
       :class:`ComposedLink` of the last link state evaluated there. A
       round whose reader, interference value and fault loss match it
@@ -256,9 +257,6 @@ class CarrierGroup:
     def tag_world_position(self, tag: Tag, t: float) -> Vec3:
         return self.motion.position_at(t) + tag.local_position
 
-    def occluder_world_centre(self, occluder: Occluder, t: float) -> Vec3:
-        return self.motion.position_at(t) + occluder.centre
-
 
 @dataclass(frozen=True)
 class SimulationParameters:
@@ -313,6 +311,18 @@ class SimulationParameters:
     q_min: int = 0
     q_max: int = 15
 
+    def __post_init__(self) -> None:
+        # A zero TDMA dwell never advances a reader's clock, and the
+        # slot, cell and slope are divisors in the pass loop.
+        for name in ("tdma_slot_s", "fading_coherence_m", "decode_slope_db"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        for name in ("co_channel_probability", "capture_probability"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
 
 @dataclass
 class PassResult:
@@ -340,6 +350,78 @@ class PassResult:
         """How many of ``epcs`` were read at least once."""
         seen = self.read_epcs
         return sum(1 for epc in epcs if epc in seen)
+
+
+@dataclass(slots=True)
+class _Pass:
+    """What one :meth:`PortalPassSimulator.run_pass` call fixes for all readers.
+
+    Built once per pass; the reader timelines and every link evaluation
+    read the pass's tables, streams, cache and recording from it.
+    """
+
+    carriers: Sequence[CarrierGroup]
+    epc_index: Dict[str, Tuple[CarrierGroup, Tag]]
+    population: List[str]
+    #: Static per-tag coupling and mount-detuning penalties, by EPC.
+    coupling_db: Dict[str, float]
+    detuning_db: Dict[str, float]
+    #: Per-trial static fade, by (EPC, antenna id).
+    shadowing: Dict[Tuple[str, str], float]
+    seeds: SeedSequence
+    trial: int
+    duration: float
+    interference_rng: RandomStream
+    fault_plan: Optional["FaultPlan"]
+    cache: Optional[PassLinkCache]
+    rec: Optional[PassRecording]
+
+
+class _Scene:
+    """Where every carrier is at one round's time, taken once per round.
+
+    ``placed`` pairs each carrier with its position; the round's tag
+    positions, occluder centres and geometry-cache keys all read it, so
+    a round calls ``position_at`` once per carrier.
+    """
+
+    __slots__ = ("placed", "positions", "keys")
+
+    def __init__(
+        self, carriers: Sequence[CarrierGroup], antenna_id: str, t: float
+    ) -> None:
+        self.placed = [(c, c.motion.position_at(t)) for c in carriers]
+        self.positions = {id(c): pos for c, pos in self.placed}
+        self.keys = _scene_keys(antenna_id, self.placed)
+
+    def tag_position(self, carrier: CarrierGroup, tag: Tag) -> Vec3:
+        return self.positions[id(carrier)] + tag.local_position
+
+
+def _scene_keys(
+    antenna_id: str, placed: Sequence[Tuple[CarrierGroup, Vec3]]
+) -> Dict[int, tuple]:
+    """Per-carrier scene part of the geometry-cache key.
+
+    For each carrier (by ``id``): the antenna, the carrier's own
+    position — which pins its tags and its own occluders — then the
+    position of every other carrier that has occluders. An occluder
+    riding another carrier can cross a stationary tag's sight line, so
+    the tag's own position alone does not pin its obstruction.
+    """
+    scenes: Dict[int, tuple] = {}
+    for carrier, own in placed:
+        scene = [antenna_id, own.x, own.y, own.z]
+        for other, pos in placed:
+            if other is not carrier and other.occluders:
+                scene += (pos.x, pos.y, pos.z)
+        scenes[id(carrier)] = tuple(scene)
+    return scenes
+
+
+def _fading_stream(ctx: _Pass, key: tuple) -> RandomStream:
+    """The seeded stream behind the fading draw of one coherence cell."""
+    return ctx.seeds.trial_stream("fading:" + ":".join(map(str, key)), ctx.trial)
 
 
 class PortalPassSimulator:
@@ -375,16 +457,16 @@ class PortalPassSimulator:
 
     def _obstruction_db(
         self,
-        carriers: Sequence[CarrierGroup],
+        placed: Sequence[Tuple[CarrierGroup, Vec3]],
         antenna_pos: Vec3,
         tag_pos: Vec3,
-        t: float,
     ) -> Tuple[float, bool]:
         """Total through-material loss on the antenna->tag path, capped.
 
-        Returns (loss_db, reflector_behind): the second element reports
-        whether a reflective occluder sits behind the tag (for the body
-        reflection bonus).
+        ``placed`` pairs each carrier with its position at the round's
+        time. Returns (loss_db, reflector_behind): the second element
+        reports whether a reflective occluder sits behind the tag (for
+        the body reflection bonus).
         """
         total = 0.0
         reflector_behind = False
@@ -393,9 +475,9 @@ class PortalPassSimulator:
         if ray_len < 1e-9:
             return 0.0, False
         ray_unit = ray_dir / ray_len
-        for carrier in carriers:
+        for carrier, pos in placed:
             for occluder in carrier.occluders:
-                centre = carrier.occluder_world_centre(occluder, t)
+                centre = pos + occluder.centre
                 chord = segment_sphere_chord_length(
                     antenna_pos, tag_pos, centre, occluder.radius_m
                 )
@@ -415,9 +497,7 @@ class PortalPassSimulator:
                         reflector_behind = True
         return min(total, self.params.obstruction_cap_db), reflector_behind
 
-    def _coupling_db(
-        self, carriers: Sequence[CarrierGroup], carrier: CarrierGroup, tag: Tag
-    ) -> float:
+    def _coupling_db(self, carrier: CarrierGroup, tag: Tag) -> float:
         """Near-field coupling penalty from this carrier's other tags.
 
         Carrier-local tag geometry is static, so distances at t=0 hold
@@ -431,32 +511,11 @@ class PortalPassSimulator:
         penalty = self.params.coupling.total_penalty_db(index, positions, axes)
         return tag.coupling_factor() * penalty
 
-    def _evaluate_tag(
-        self,
-        carriers: Sequence[CarrierGroup],
-        carrier: CarrierGroup,
-        tag: Tag,
-        antenna: AntennaInstallation,
-        reader: ReaderAssignment,
-        t: float,
-        shadowing_db: float,
-        fading_gain: float,
-        interference_dbm: Optional[float],
-        coupling_db: float,
-        extra_loss_db: float = 0.0,
-    ) -> LinkResult:
-        """One full link-budget evaluation for a read attempt at time ``t``.
-
-        ``extra_loss_db`` models port-level impairments (a detuned or
-        water-logged antenna from a fault plan): applied at the reader
-        port, it attenuates the forward link and — through the tag's
-        reduced backscatter power — the reverse link as well.
-        """
-        tag_pos = carrier.tag_world_position(tag, t)
-        obstruction_db, reflector = self._obstruction_db(
-            carriers, antenna.position, tag_pos, t
-        )
-        gain_bonus = self.params.reflection_gain_db if reflector else 0.0
+    @staticmethod
+    def _link_geometry(
+        antenna: AntennaInstallation, tag: Tag, tag_pos: Vec3
+    ) -> Tuple[LinkGeometry, Optional[float]]:
+        """The link's geometry and, for an alternative inlay, its tag gain."""
         geometry = LinkGeometry(
             antenna_position=antenna.position,
             antenna_boresight=antenna.boresight,
@@ -468,72 +527,133 @@ class PortalPassSimulator:
             # Alternative inlay: its own pattern replaces the stock
             # dipole (note the arriving-wave direction is -direction).
             tag_gain_override = tag.pattern_gain_dbi(-geometry.direction)
-        return evaluate_link(
-            self.env,
-            reader.tx_power_dbm + gain_bonus - extra_loss_db,
-            geometry,
-            obstruction_loss_db=obstruction_db,
-            tag_detuning_db=tag.detuning_db(),
-            coupling_penalty_db=coupling_db,
-            shadowing_db=shadowing_db,
-            fading_power_gain=fading_gain,
-            interference_dbm=interference_dbm,
-            tag_gain_override_dbi=tag_gain_override,
+        return geometry, tag_gain_override
+
+    def _fading_key(
+        self,
+        reader: ReaderAssignment,
+        antenna: AntennaInstallation,
+        tag: Tag,
+        tag_pos: Vec3,
+    ) -> Tuple[str, str, str, int, int, int]:
+        """(reader, antenna, EPC, coherence cell) of one fading draw.
+
+        Keyed by (radio, antenna): two radios driving the same port see
+        decorrelated small-scale fading, since they hop on different
+        frequency channels.
+        """
+        cell = self.params.fading_coherence_m
+        return (
+            reader.reader_id, antenna.antenna_id, tag.epc,
+            int(tag_pos.x // cell), int(tag_pos.y // cell), int(tag_pos.z // cell),
         )
 
-    def _evaluate_tag_cached(
+    def _evaluate_tag(
         self,
-        cache: PassLinkCache,
-        carriers: Sequence[CarrierGroup],
+        ctx: _Pass,
+        scene: _Scene,
         carrier: CarrierGroup,
         tag: Tag,
         antenna: AntennaInstallation,
         reader: ReaderAssignment,
         t: float,
-        scene: tuple,
-        shadowing: Dict[Tuple[str, str], float],
-        detuning_db: Dict[str, float],
-        coupling_db: Dict[str, float],
         interference_dbm: Optional[float],
         fault_loss_db: float,
-        seeds: SeedSequence,
-        trial: int,
-        rec: Optional[PassRecording] = None,
     ) -> ComposedLink:
-        """Cache-assisted equivalent of the per-round link evaluation.
+        """The reference evaluation of one read attempt at round time ``t``.
 
-        ``scene`` is the antenna id, the tag's carrier position at ``t``
-        and the positions of the other carriers that have occluders (see
-        :meth:`_scene_keys`): with the tag it pins the tag's world
-        position and the obstruction the geometry entry stores. The
-        per-pass ``shadowing``, ``detuning_db`` and ``coupling_db``
-        tables are only read when the link state has to be evaluated or
-        recorded. The returned link's ``result`` is ``None`` when the
-        forward link cannot close under any plausible fading draw (see
-        :data:`MAX_FADING_HEADROOM_DB`): the tag is not energized, so
-        the fading draw and the composition are skipped and its channel
-        is dead. Otherwise ``result`` is bit-identical to what the
-        uncached path produces for the same round.
+        No cache, no short-circuit: one ray-trace, one geometry, a
+        fading draw from a stream derived fresh for this evaluation,
+        and the full :func:`evaluate_link`. Obstruction comes first
+        because it degrades the K-factor of the fading draw. The draw is
+        deterministic per (trial, link, coherence cell): the channel of
+        a static geometry does not re-roll itself — only motion across
+        ~lambda/2 decorrelates it.
+
+        ``fault_loss_db`` models port-level impairments (a detuned or
+        water-logged antenna from a fault plan): applied at the reader
+        port, it attenuates the forward link and — through the tag's
+        reduced backscatter power — the reverse link as well.
         """
         epc = tag.epc
-        key = (epc, scene)
+        tag_pos = scene.tag_position(carrier, tag)
+        obstruction_db, reflector = self._obstruction_db(
+            scene.placed, antenna.position, tag_pos
+        )
+        geometry, tag_gain_override = self._link_geometry(antenna, tag, tag_pos)
+        fading_rng = _fading_stream(
+            ctx, self._fading_key(reader, antenna, tag, tag_pos)
+        )
+        fading_gain = self.env.channel.fading.degraded(
+            obstruction_db * self.params.k_penalty_per_obstruction
+        ).sample_power_gain(fading_rng)
+        gain_bonus = self.params.reflection_gain_db if reflector else 0.0
+        result = evaluate_link(
+            self.env,
+            reader.tx_power_dbm + gain_bonus - fault_loss_db,
+            geometry,
+            obstruction_loss_db=obstruction_db,
+            tag_detuning_db=ctx.detuning_db[epc],
+            coupling_penalty_db=ctx.coupling_db[epc],
+            shadowing_db=ctx.shadowing[(epc, antenna.antenna_id)],
+            fading_power_gain=fading_gain,
+            interference_dbm=interference_dbm,
+            tag_gain_override_dbi=tag_gain_override,
+        )
+        channel = TagChannel(
+            energized=result.activated,
+            reply_decode_p=self._decode_probability(result),
+        )
+        link = ComposedLink(
+            reader.reader_id, interference_dbm, fault_loss_db, result,
+            channel, fading_gain, None,
+        )
+        if ctx.rec is not None:
+            # The waterfall record needs the per-term breakdown that
+            # evaluate_link composed without exposing (recording only).
+            terms = compute_link_terms(self.env, geometry, tag_gain_override)
+            entry = GeometryEntry(terms, obstruction_db, reflector)
+            self._record_composed(ctx, entry, link, tag, antenna, reader, t)
+        return link
+
+    def _evaluate_tag_cached(
+        self,
+        ctx: _Pass,
+        scene: _Scene,
+        carrier: CarrierGroup,
+        tag: Tag,
+        antenna: AntennaInstallation,
+        reader: ReaderAssignment,
+        t: float,
+        interference_dbm: Optional[float],
+        fault_loss_db: float,
+    ) -> ComposedLink:
+        """Cache-assisted equivalent of :meth:`_evaluate_tag`.
+
+        The geometry entry is keyed by the tag and its carrier's scene
+        key (see :func:`_scene_keys`), which pin the tag's world
+        position and the obstruction the entry stores; the tag position
+        itself is only computed when the geometry or the link state has
+        to be evaluated. The returned link's ``result`` is ``None`` when
+        the forward link cannot close under any plausible fading draw
+        (see :data:`MAX_FADING_HEADROOM_DB`): the tag is not energized,
+        so the fading draw and the composition are skipped and its
+        channel is dead. Otherwise ``result`` is bit-identical to what
+        the reference produces for the same round.
+        """
+        cache = ctx.cache
+        key = (tag.epc, scene.keys[id(carrier)])
         entry = cache.geometry.get(key)
         tag_pos = None
         if entry is None:
             cache.geometry_misses += 1
-            tag_pos = carrier.tag_world_position(tag, t)
+            tag_pos = scene.tag_position(carrier, tag)
             obstruction_db, reflector = self._obstruction_db(
-                carriers, antenna.position, tag_pos, t
+                scene.placed, antenna.position, tag_pos
             )
-            geometry = LinkGeometry(
-                antenna_position=antenna.position,
-                antenna_boresight=antenna.boresight,
-                tag_position=tag_pos,
-                tag_axis=tag.world_dipole_axis(),
+            geometry, tag_gain_override = self._link_geometry(
+                antenna, tag, tag_pos
             )
-            tag_gain_override = None
-            if tag.design is not None:
-                tag_gain_override = tag.pattern_gain_dbi(-geometry.direction)
             terms = compute_link_terms(self.env, geometry, tag_gain_override)
             entry = GeometryEntry(terms, obstruction_db, reflector)
             cache.geometry[key] = entry
@@ -554,40 +674,34 @@ class PortalPassSimulator:
         else:
             cache.composed_misses += 1
             if tag_pos is None:
-                tag_pos = carrier.tag_world_position(tag, t)
+                tag_pos = scene.tag_position(carrier, tag)
             link = self._compose_cached(
-                cache, entry, tag, tag_pos, antenna, reader,
-                shadowing[(epc, antenna.antenna_id)], detuning_db[epc],
-                coupling_db[epc], interference_dbm, fault_loss_db, seeds, trial,
+                ctx, entry, tag, tag_pos, antenna, reader,
+                interference_dbm, fault_loss_db,
             )
             entry.link = link
-        if rec is not None:
-            self._record_composed(
-                rec, entry, link, tag, antenna, reader, t, trial,
-                shadowing[(epc, antenna.antenna_id)], detuning_db[epc],
-                coupling_db[epc],
-            )
+        if ctx.rec is not None:
+            self._record_composed(ctx, entry, link, tag, antenna, reader, t)
         return link
 
     def _compose_cached(
         self,
-        cache: PassLinkCache,
+        ctx: _Pass,
         entry: GeometryEntry,
         tag: Tag,
         tag_pos: Vec3,
         antenna: AntennaInstallation,
         reader: ReaderAssignment,
-        shadowing_db: float,
-        detuning_db: float,
-        coupling_db: float,
         interference_dbm: Optional[float],
         fault_loss_db: float,
-        seeds: SeedSequence,
-        trial: int,
     ) -> ComposedLink:
         """Evaluate one link state on top of its cached geometry terms."""
+        cache = ctx.cache
         terms = entry.terms
         obstruction_db = entry.obstruction_db
+        shadowing_db = ctx.shadowing[(tag.epc, antenna.antenna_id)]
+        detuning_db = ctx.detuning_db[tag.epc]
+        coupling_db = ctx.coupling_db[tag.epc]
         gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
         tx_power = reader.tx_power_dbm + gain_bonus - fault_loss_db
         # Forward budget with the fading term left out: if even a +20 dB
@@ -612,37 +726,17 @@ class PortalPassSimulator:
                 None,
                 forward_no_fade,
             )
-        obstructed_k_penalty = (
-            obstruction_db * self.params.k_penalty_per_obstruction
-        )
-        cell = self.params.fading_coherence_m
-        bin_key = (
-            int(tag_pos.x // cell),
-            int(tag_pos.y // cell),
-            int(tag_pos.z // cell),
-        )
-        fading_key = (
-            reader.reader_id,
-            antenna.antenna_id,
-            tag.epc,
-            bin_key[0],
-            bin_key[1],
-            bin_key[2],
-        )
+        fading_key = self._fading_key(reader, antenna, tag, tag_pos)
         normals = cache.fading_normals.get(fading_key)
         if normals is None:
             cache.fading_misses += 1
-            fading_rng = seeds.trial_stream(
-                f"fading:{reader.reader_id}:{antenna.antenna_id}:{tag.epc}:"
-                f"{bin_key[0]}:{bin_key[1]}:{bin_key[2]}",
-                trial,
-            )
+            fading_rng = _fading_stream(ctx, fading_key)
             normals = (fading_rng.gauss(0.0, 1.0), fading_rng.gauss(0.0, 1.0))
             cache.fading_normals[fading_key] = normals
         else:
             cache.fading_hits += 1
         fading_gain = self.env.channel.fading.degraded(
-            obstructed_k_penalty
+            obstruction_db * self.params.k_penalty_per_obstruction
         ).power_gain_from_normals(normals[0], normals[1])
         result = compose_link(
             self.env,
@@ -670,20 +764,23 @@ class PortalPassSimulator:
 
     def _record_composed(
         self,
-        rec: PassRecording,
+        ctx: _Pass,
         entry: GeometryEntry,
         link: ComposedLink,
         tag: Tag,
         antenna: AntennaInstallation,
         reader: ReaderAssignment,
         t: float,
-        trial: int,
-        shadowing_db: float,
-        detuning_db: float,
-        coupling_db: float,
     ) -> None:
-        """Emit the waterfall record of a cached evaluation at round time ``t``."""
-        gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
+        """Emit the waterfall record of one evaluation at round time ``t``.
+
+        A short-circuited link (``link.result is None``) stops before
+        the fading draw, so the composed-budget fields stay ``None``.
+        Summing the record's terms (gains minus losses, fault loss and
+        cable loss included) reproduces ``forward_power_dbm`` exactly.
+        """
+        epc = tag.epc
+        terms = entry.terms
         result = link.result
         if result is None:
             fading_db = None
@@ -693,85 +790,43 @@ class PortalPassSimulator:
         else:
             fading_db = linear_to_db(max(link.fading_gain, 1e-300))
             no_fade_margin_db = result.forward_margin_db - fading_db
-        rec.link(
-            self._link_record(
-                entry.terms,
-                tag,
-                antenna,
-                reader,
-                t,
-                trial,
-                gain_bonus,
-                shadowing_db,
-                entry.obstruction_db,
-                detuning_db,
-                coupling_db,
-                link.fault_loss_db,
-                link.interference_dbm,
+        gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
+        ctx.rec.link(
+            DwellLinkRecord(
+                time=t,
+                trial=ctx.trial,
+                reader_id=reader.reader_id,
+                antenna_id=antenna.antenna_id,
+                epc=epc,
+                tx_power_dbm=reader.tx_power_dbm + gain_bonus,
+                cable_loss_db=self.env.cable_loss_db,
+                reader_gain_dbi=terms.reader_gain_dbi,
+                path_gain_db=terms.path_gain_db,
+                shadowing_db=ctx.shadowing[(epc, antenna.antenna_id)],
+                tag_gain_dbi=terms.tag_gain_dbi,
+                polarization_loss_db=terms.polarization_loss_db,
+                obstruction_db=entry.obstruction_db,
+                detuning_db=ctx.detuning_db[epc],
+                coupling_db=ctx.coupling_db[epc],
+                fault_loss_db=link.fault_loss_db,
                 fading_db=fading_db,
-                result=result,
+                interference_dbm=link.interference_dbm,
+                forward_power_dbm=(
+                    result.forward_power_dbm if result is not None else None
+                ),
+                forward_margin_db=(
+                    result.forward_margin_db if result is not None else None
+                ),
+                reverse_power_dbm=(
+                    result.reverse_power_dbm if result is not None else None
+                ),
+                reverse_margin_db=(
+                    result.reverse_margin_db if result is not None else None
+                ),
+                energized=result.activated if result is not None else False,
+                short_circuited=result is None,
             ),
             no_fade_margin_db=no_fade_margin_db,
-        )
-
-    def _link_record(
-        self,
-        terms: LinkTerms,
-        tag: Tag,
-        antenna: AntennaInstallation,
-        reader: ReaderAssignment,
-        t: float,
-        trial: int,
-        gain_bonus: float,
-        shadowing_db: float,
-        obstruction_db: float,
-        detuning_db: float,
-        coupling_db: float,
-        fault_loss_db: float,
-        interference_dbm: Optional[float],
-        fading_db: Optional[float],
-        result: Optional[LinkResult],
-    ) -> DwellLinkRecord:
-        """Build the waterfall record for one evaluation (recording only).
-
-        ``result=None`` means the evaluation short-circuited before the
-        fading draw; the composed-budget fields stay ``None``. Summing
-        the record's terms (gains minus losses, fault loss and cable
-        loss included) reproduces ``forward_power_dbm`` exactly.
-        """
-        return DwellLinkRecord(
-            time=t,
-            trial=trial,
-            reader_id=reader.reader_id,
-            antenna_id=antenna.antenna_id,
-            epc=tag.epc,
-            tx_power_dbm=reader.tx_power_dbm + gain_bonus,
-            cable_loss_db=self.env.cable_loss_db,
-            reader_gain_dbi=terms.reader_gain_dbi,
-            path_gain_db=terms.path_gain_db,
-            shadowing_db=shadowing_db,
-            tag_gain_dbi=terms.tag_gain_dbi,
-            polarization_loss_db=terms.polarization_loss_db,
-            obstruction_db=obstruction_db,
-            detuning_db=detuning_db,
-            coupling_db=coupling_db,
-            fault_loss_db=fault_loss_db,
-            fading_db=fading_db,
-            interference_dbm=interference_dbm,
-            forward_power_dbm=(
-                result.forward_power_dbm if result is not None else None
-            ),
-            forward_margin_db=(
-                result.forward_margin_db if result is not None else None
-            ),
-            reverse_power_dbm=(
-                result.reverse_power_dbm if result is not None else None
-            ),
-            reverse_margin_db=(
-                result.reverse_margin_db if result is not None else None
-            ),
-            energized=result.activated if result is not None else False,
-            short_circuited=result is None,
         )
 
     def _decode_probability(self, result: LinkResult) -> float:
@@ -836,14 +891,6 @@ class PortalPassSimulator:
                 # wrapper never perturbs a draw.
                 seeds = TracingSeedSequence(seeds.root_seed, rec)
 
-        # Static per-tag coupling and mount-detuning penalties.
-        coupling_db: Dict[str, float] = {
-            tag.epc: self._coupling_db(carriers, carrier, tag)
-            for carrier, tag in all_tags
-        }
-        detuning_db: Dict[str, float] = {
-            tag.epc: tag.detuning_db() for _, tag in all_tags
-        }
         # Per-trial static fade per (tag, antenna) link: environment
         # shadowing (independent per antenna — different sight lines
         # through the fixed environment) plus carrier-local clutter,
@@ -870,40 +917,37 @@ class PortalPassSimulator:
                     + clutter[tag.epc]
                 )
 
-        trace = ReadTrace()
-        total_rounds = 0
-        interference_rng = seeds.trial_stream("interference", trial)
-        cache = PassLinkCache() if self.use_link_cache else None
-
+        ctx = _Pass(
+            carriers=carriers,
+            epc_index=epc_index,
+            population=population,
+            coupling_db={
+                tag.epc: self._coupling_db(carrier, tag)
+                for carrier, tag in all_tags
+            },
+            detuning_db={tag.epc: tag.detuning_db() for _, tag in all_tags},
+            shadowing=shadowing,
+            seeds=seeds,
+            trial=trial,
+            duration=duration,
+            interference_rng=seeds.trial_stream("interference", trial),
+            fault_plan=fault_plan,
+            cache=PassLinkCache() if self.use_link_cache else None,
+            rec=rec,
+        )
         # Each reader runs its own inventory timeline; simultaneous
         # readers interfere but do not share airtime. Traces merge at
         # the end (the back-end sees the union).
-        reader_traces: List[List[TagReadEvent]] = []
+        events: List[TagReadEvent] = []
+        total_rounds = 0
         for reader in self.portal.readers:
-            events, rounds = self._run_reader_timeline(
-                reader,
-                carriers,
-                epc_index,
-                population,
-                coupling_db,
-                detuning_db,
-                shadowing,
-                seeds,
-                trial,
-                duration,
-                interference_rng,
-                fault_plan,
-                cache,
-                rec,
-            )
-            reader_traces.append(events)
-            total_rounds += rounds
-        self._last_cache_stats = cache.stats() if cache is not None else None
-
-        merged = sorted(
-            (e for events in reader_traces for e in events), key=lambda e: e.time
+            total_rounds += self._run_reader_timeline(ctx, reader, events)
+        self._last_cache_stats = (
+            ctx.cache.stats() if ctx.cache is not None else None
         )
-        for event in merged:
+
+        trace = ReadTrace()
+        for event in sorted(events, key=lambda e: e.time):
             trace.record(event)
         coverage = None
         if fault_plan is not None and not fault_plan.is_empty:
@@ -936,31 +980,28 @@ class PortalPassSimulator:
         )
 
     def _run_reader_timeline(
-        self,
-        reader: ReaderAssignment,
-        carriers: Sequence[CarrierGroup],
-        epc_index: Dict[str, Tuple[CarrierGroup, Tag]],
-        population: List[str],
-        coupling_db: Dict[str, float],
-        detuning_db: Dict[str, float],
-        shadowing: Dict[Tuple[str, str], float],
-        seeds: SeedSequence,
-        trial: int,
-        duration: float,
-        interference_rng,
-        fault_plan: Optional["FaultPlan"] = None,
-        cache: Optional[PassLinkCache] = None,
-        rec: Optional[PassRecording] = None,
-    ) -> Tuple[List[TagReadEvent], int]:
-        """One reader's full pass: TDMA over its antennas, round after round."""
-        protocol_rng = seeds.trial_stream(f"protocol:{reader.reader_id}", trial)
+        self, ctx: _Pass, reader: ReaderAssignment, events: List[TagReadEvent]
+    ) -> int:
+        """One reader's full pass: TDMA over its antennas, round after round.
+
+        Appends the reader's reads to ``events``; returns its round count.
+        """
+        fault_plan = ctx.fault_plan
+        rec = ctx.rec
+        duration = ctx.duration
+        protocol_rng = ctx.seeds.trial_stream(
+            f"protocol:{reader.reader_id}", ctx.trial
+        )
         session = InventorySession()
         q_algo = QAlgorithm(
             q_initial=self.params.q_initial,
             q_min=self.params.q_min,
             q_max=self.params.q_max,
         )
-        events: List[TagReadEvent] = []
+        evaluate = (
+            self._evaluate_tag_cached if ctx.cache is not None
+            else self._evaluate_tag
+        )
         rounds = 0
         t = 0.0
         antennas = tuple(reader.antennas)
@@ -1046,7 +1087,7 @@ class PortalPassSimulator:
                     if not fault_plan.reader_down(radio.reader_id, t)
                 ]
             interference = self._interference_for(
-                reader, antenna, live_radios, interference_rng
+                reader, antenna, live_radios, ctx.interference_rng
             )
             if fault_plan is not None:
                 burst = fault_plan.interference_dbm_at(t)
@@ -1057,134 +1098,24 @@ class PortalPassSimulator:
                         else sum_powers_dbm(interference, burst)
                     )
             last_result: Dict[str, LinkResult] = {}
-            # Filled on the round's first cached evaluation: many rounds
-            # of a long pass evaluate no tag at all.
-            scenes: Dict[int, tuple] = {}
+            # Taken on the round's first evaluation: many rounds of a
+            # long pass evaluate no tag at all.
+            scene: List[_Scene] = []
 
             def channel(epc: str) -> TagChannel:
-                carrier, tag = epc_index[epc]
-                if cache is not None:
-                    if not scenes:
-                        scenes.update(
-                            self._scene_keys(antenna.antenna_id, carriers, t)
-                        )
-                    link = self._evaluate_tag_cached(
-                        cache,
-                        carriers,
-                        carrier,
-                        tag,
-                        antenna,
-                        reader,
-                        t,
-                        scenes[id(carrier)],
-                        shadowing,
-                        detuning_db,
-                        coupling_db,
-                        interference,
-                        fault_loss_db,
-                        seeds,
-                        trial,
-                        rec,
-                    )
-                    # A short-circuited link has no result: its tag is
-                    # not energized, never replies, and so nothing
-                    # downstream consumes a LinkResult for it.
-                    if link.result is not None:
-                        last_result[epc] = link.result
-                    return link.channel
-                fading = self.env.channel.fading
-                # Evaluate obstruction first (it degrades the K-factor),
-                # then draw fading from the degraded channel. The draw is
-                # deterministic per (trial, link, coherence cell): the
-                # channel of a static geometry does not re-roll itself —
-                # only motion across ~lambda/2 decorrelates it.
-                tag_pos = carrier.tag_world_position(tag, t)
-                obstruction_db, _ = self._obstruction_db(
-                    carriers, antenna.position, tag_pos, t
+                carrier, tag = ctx.epc_index[epc]
+                if not scene:
+                    scene.append(_Scene(ctx.carriers, antenna.antenna_id, t))
+                link = evaluate(
+                    ctx, scene[0], carrier, tag, antenna, reader, t,
+                    interference, fault_loss_db,
                 )
-                obstructed_k_penalty = (
-                    obstruction_db * self.params.k_penalty_per_obstruction
-                )
-                cell = self.params.fading_coherence_m
-                bin_key = (
-                    int(tag_pos.x // cell),
-                    int(tag_pos.y // cell),
-                    int(tag_pos.z // cell),
-                )
-                # Keyed by (radio, antenna): two radios driving the
-                # same port see decorrelated small-scale fading, since
-                # they hop on different frequency channels.
-                fading_rng = seeds.trial_stream(
-                    f"fading:{reader.reader_id}:{antenna.antenna_id}:{epc}:"
-                    f"{bin_key[0]}:{bin_key[1]}:{bin_key[2]}",
-                    trial,
-                )
-                fading_gain = fading.degraded(
-                    obstructed_k_penalty
-                ).sample_power_gain(fading_rng)
-                result = self._evaluate_tag(
-                    carriers,
-                    carrier,
-                    tag,
-                    antenna,
-                    reader,
-                    t,
-                    shadowing[(epc, antenna.antenna_id)],
-                    fading_gain,
-                    interference,
-                    coupling_db[epc],
-                    fault_loss_db,
-                )
-                last_result[epc] = result
-                if rec is not None:
-                    # Recompute the per-term breakdown for the waterfall
-                    # record (recording-only work; the uncached hot path
-                    # composed the budget without exposing its terms).
-                    geometry = LinkGeometry(
-                        antenna_position=antenna.position,
-                        antenna_boresight=antenna.boresight,
-                        tag_position=tag_pos,
-                        tag_axis=tag.world_dipole_axis(),
-                    )
-                    tag_gain_override = None
-                    if tag.design is not None:
-                        tag_gain_override = tag.pattern_gain_dbi(
-                            -geometry.direction
-                        )
-                    terms = compute_link_terms(
-                        self.env, geometry, tag_gain_override
-                    )
-                    fading_db = linear_to_db(max(fading_gain, 1e-300))
-                    _, reflector = self._obstruction_db(
-                        carriers, antenna.position, tag_pos, t
-                    )
-                    gain_bonus = (
-                        self.params.reflection_gain_db if reflector else 0.0
-                    )
-                    rec.link(
-                        self._link_record(
-                            terms,
-                            tag,
-                            antenna,
-                            reader,
-                            t,
-                            trial,
-                            gain_bonus,
-                            shadowing[(epc, antenna.antenna_id)],
-                            obstruction_db,
-                            detuning_db[epc],
-                            coupling_db[epc],
-                            fault_loss_db,
-                            interference,
-                            fading_db=fading_db,
-                            result=result,
-                        ),
-                        no_fade_margin_db=result.forward_margin_db - fading_db,
-                    )
-                return TagChannel(
-                    energized=result.activated,
-                    reply_decode_p=self._decode_probability(result),
-                )
+                # A short-circuited link has no result: its tag is not
+                # energized, never replies, and so nothing downstream
+                # consumes a LinkResult for it.
+                if link.result is not None:
+                    last_result[epc] = link.result
+                return link.channel
 
             slot_observer = None
             if rec is not None:
@@ -1206,7 +1137,7 @@ class PortalPassSimulator:
                     )
 
             round_result = run_inventory_round(
-                population,
+                ctx.population,
                 channel,
                 protocol_rng,
                 q_algo,
@@ -1235,29 +1166,7 @@ class PortalPassSimulator:
             # Advance by the airtime the round consumed (at least one
             # Query even if the field was empty).
             t += max(round_result.duration_s, self.timing.query_s)
-        return events, rounds
-
-    @staticmethod
-    def _scene_keys(
-        antenna_id: str, carriers: Sequence[CarrierGroup], t: float
-    ) -> Dict[int, tuple]:
-        """Per-carrier scene part of the geometry-cache key at time ``t``.
-
-        For each carrier (by ``id``): the antenna, the carrier's own
-        position — which pins its tags and its own occluders — then the
-        position of every other carrier that has occluders. An occluder
-        riding another carrier can cross a stationary tag's sight line,
-        so the tag's own position alone does not pin its obstruction.
-        """
-        positions = [(c, c.motion.position_at(t)) for c in carriers]
-        scenes: Dict[int, tuple] = {}
-        for carrier, own in positions:
-            scene = [antenna_id, own.x, own.y, own.z]
-            for other, pos in positions:
-                if other is not carrier and other.occluders:
-                    scene += (pos.x, pos.y, pos.z)
-            scenes[id(carrier)] = tuple(scene)
-        return scenes
+        return rounds
 
     def _other_radios(self, reader: ReaderAssignment) -> List[ReaderRadio]:
         """Radios of every *other* reader in the portal (the aggressors)."""

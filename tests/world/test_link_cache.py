@@ -6,12 +6,15 @@ equal. The cache is a pure memo plus a provably-sound short-circuit,
 so any observable difference is a bug.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.world.simulation as simulation
 from repro.core.calibration import PaperSetup
 from repro.faults import AntennaFault, FaultPlan, ReaderCrash
 from repro.obs.recorder import Recorder
+from repro.obs.records import DwellLinkRecord
 from repro.rf.geometry import Vec3
 from repro.rf.materials import BODY
 from repro.sim.rng import SeedSequence
@@ -136,6 +139,43 @@ def _stationary_stats(portal, fault_plan=None, distance_m=2.0):
     return stats
 
 
+def _plane_scene():
+    return single_antenna_portal(), [build_tag_plane(3.0)], None
+
+
+def _walk_scene():
+    carrier, _ = build_walk(1, ["front", "back"])
+    return single_antenna_portal(), [carrier], None
+
+
+def _faulted_cart_scene():
+    carrier, _ = build_box_cart([BoxFace.FRONT])
+    plan = FaultPlan(
+        antenna_faults=(
+            AntennaFault("reader-0", "ant-0", 1.0, 2.5, gain_penalty_db=6.0),
+        )
+    )
+    return dual_antenna_portal(), [carrier], plan
+
+
+#: Record fields fixed before the fading draw; a short-circuited record
+#: stops there, the reference's goes on to compose the budget.
+_LINK_INPUTS = tuple(
+    f.name
+    for f in dataclasses.fields(DwellLinkRecord)
+    if f.name
+    not in {
+        "fading_db",
+        "forward_power_dbm",
+        "forward_margin_db",
+        "reverse_power_dbm",
+        "reverse_margin_db",
+        "energized",
+        "short_circuited",
+    }
+)
+
+
 class TestComposedLayer:
     def test_counters_keep_their_per_evaluation_meaning(self):
         stats = _stationary_stats(single_antenna_portal())
@@ -149,20 +189,46 @@ class TestComposedLayer:
             == lookups
         )
 
-    def test_recorded_parity(self):
+    @pytest.mark.parametrize(
+        "scene, exercised",
+        [
+            (_plane_scene, ()),
+            # Bodies block sight lines, short-circuit the blocked tags
+            # and reflect behind others (a bonus over the 30 dBm port).
+            (
+                _walk_scene,
+                (
+                    lambda r: r.short_circuited,
+                    lambda r: r.obstruction_db > 0.0,
+                    lambda r: r.tx_power_dbm > 30.0,
+                ),
+            ),
+            (_faulted_cart_scene, (lambda r: r.fault_loss_db > 0.0,)),
+        ],
+        ids=["plane", "walk", "faulted_cart"],
+    )
+    def test_recorded_parity(self, scene, exercised):
+        portal, carriers, plan = scene()
         seeds = SeedSequence(20070625)
-        plane = build_tag_plane(3.0)
         observations = []
         for use_link_cache in (True, False):
-            sim = _sim(
-                single_antenna_portal(),
-                use_link_cache,
-                Recorder(capture_link_budget=True),
-            )
-            observations.append(sim.run_pass([plane], seeds, 0).obs)
+            sim = _sim(portal, use_link_cache, Recorder(capture_link_budget=True))
+            run = sim.run_pass(carriers, seeds, 0, fault_plan=plan)
+            observations.append(run.obs)
         cached, oracle = observations
+        assert cached.truncated_link_records == oracle.truncated_link_records == 0
         assert len(cached.link_records) == len(oracle.link_records)
-        assert cached.link_records == oracle.link_records
+        for seen in exercised:
+            assert any(seen(r) for r in cached.link_records)
+        for mine, ref in zip(cached.link_records, oracle.link_records):
+            if not mine.short_circuited:
+                assert mine == ref
+                continue
+            # The reference draws fading anyway; every input before the
+            # draw must agree, and the tag must stay dark.
+            for name in _LINK_INPUTS:
+                assert getattr(mine, name) == getattr(ref, name), name
+            assert not ref.energized
         # Replays are stamped with their own round's time.
         assert len({r.time for r in cached.link_records}) > 1
 
@@ -203,6 +269,40 @@ class TestComposedLayer:
         # link state per tag that is not short-circuited.
         assert len(calls) == len(plane.tags) - stats["short_circuits"] > 0
         assert stats["composed_misses"] == len(plane.tags)
+
+
+class TestSceneSnapshot:
+    @pytest.mark.parametrize("use_link_cache", [True, False])
+    def test_each_carrier_placed_once_per_round(self, monkeypatch, use_link_cache):
+        carrier, _ = build_box_cart([BoxFace.FRONT, BoxFace.SIDE_CLOSER])
+        calls = []
+        real = LinearPass.position_at
+
+        def counting(motion, t):
+            calls.append(t)
+            return real(motion, t)
+
+        monkeypatch.setattr(LinearPass, "position_at", counting)
+        result = _sim(dual_antenna_portal(), use_link_cache).run_pass(
+            [carrier], SeedSequence(20070625), 0
+        )
+        assert 0 < len(calls) <= result.rounds
+
+    def test_reference_traces_each_evaluation_once(self, monkeypatch):
+        carrier, _ = build_walk(1, ["front", "back"])
+        calls = []
+        real = simulation.segment_sphere_chord_length
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "segment_sphere_chord_length", counting)
+        sim = _sim(single_antenna_portal(), False, Recorder(capture_link_budget=True))
+        obs = sim.run_pass([carrier], SeedSequence(20070625), 0).obs
+        assert obs.truncated_link_records == 0
+        assert len(obs.link_records) > 0
+        assert len(calls) == len(carrier.occluders) * len(obs.link_records)
 
 
 class TestCacheObject:

@@ -277,6 +277,24 @@ class TestParameters:
         with pytest.raises(ValueError):
             Occluder(Vec3.zero(), radius_m=0.0, material=METAL)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tdma_slot_s", 0.0),
+            ("tdma_slot_s", -0.1),
+            ("fading_coherence_m", 0.0),
+            ("fading_coherence_m", -0.164),
+            ("decode_slope_db", 0.0),
+            ("co_channel_probability", 2.0),
+            ("co_channel_probability", -0.1),
+            ("capture_probability", 1.5),
+            ("capture_probability", float("nan")),
+        ],
+    )
+    def test_rejects_values_that_hang_or_crash_a_pass(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SimulationParameters(**{name: value})
+
     def test_defaults_constructible(self):
         params = SimulationParameters()
         assert params.obstruction_cap_db > 0
