@@ -23,7 +23,6 @@ from repro.reader.wire import PolledInterface, parse_tag_list
 from repro.world.humans import HumanTagPlacement
 from repro.world.portal import dual_antenna_portal, single_antenna_portal
 from repro.world.scenarios.human_tracking import build_walk
-from repro.world.simulation import PortalPassSimulator
 
 TRIALS = 15
 
@@ -46,9 +45,7 @@ def measure(antennas: int, placements) -> float:
     """Person-tracking reliability for one gate configuration."""
     setup = PaperSetup()
     portal = single_antenna_portal() if antennas == 1 else dual_antenna_portal()
-    simulator = PortalPassSimulator(
-        portal=portal, env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(portal)
     carrier, humans = build_walk(1, placements)
     epcs = [t.epc for t in humans[0].tags]
     trials = run_trials(
@@ -65,9 +62,7 @@ def measure(antennas: int, placements) -> float:
 def demonstrate_full_stack() -> None:
     """One pass through the whole pipeline, reader to door decision."""
     setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=dual_antenna_portal(), env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(dual_antenna_portal())
     carrier, humans = build_walk(
         1, [HumanTagPlacement.FRONT, HumanTagPlacement.BACK]
     )

@@ -102,9 +102,7 @@ def software_correction() -> None:
 
 def main() -> None:
     setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=single_antenna_portal(), env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(single_antenna_portal())
     spacing_sweep(simulator)
     speed_sweep(simulator)
     software_correction()

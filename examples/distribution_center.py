@@ -27,7 +27,6 @@ from repro.sim.rng import SeedSequence
 from repro.world.objects import BoxFace
 from repro.world.portal import single_antenna_portal
 from repro.world.scenarios.object_tracking import build_box_cart
-from repro.world.simulation import PortalPassSimulator
 
 CHECKPOINTS = ("dock", "belt", "gate")
 
@@ -35,9 +34,7 @@ CHECKPOINTS = ("dock", "belt", "gate")
 def simulate_checkpoint_pass(name, reader_id, carrier, trial):
     """One pallet pass at one checkpoint; reads re-labelled to its reader."""
     setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=single_antenna_portal(), env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(single_antenna_portal())
     result = simulator.run_pass(
         [carrier], SeedSequence(hash_free_seed(name)), trial
     )

@@ -29,7 +29,6 @@ from repro.world.scenarios.fault_injection import (
     run_supervised_pass,
 )
 from repro.world.scenarios.human_tracking import build_walk
-from repro.world.simulation import PortalPassSimulator
 
 SEED = 1234
 REPETITIONS = 8
@@ -37,9 +36,7 @@ REPETITIONS = 8
 
 def one_pass(setup, portal, label):
     """Run a single crashed pass and narrate what the supervisor saw."""
-    simulator = PortalPassSimulator(
-        portal=portal, env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(portal)
     carrier, humans = build_walk(1, ["front"])
     registry = ObjectRegistry()
     registry.register(
@@ -48,7 +45,6 @@ def one_pass(setup, portal, label):
     plan = primary_crash_plan(carrier.motion.duration_s)
     outcome = run_supervised_pass(
         simulator,
-        portal,
         [carrier],
         registry,
         "subject-0",

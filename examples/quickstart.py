@@ -15,7 +15,7 @@ from repro.core.experiment import run_trials
 from repro.protocol.epc import EpcFactory
 from repro.world.motion import LinearPass
 from repro.world.objects import BoxFace, TaggedBox
-from repro.world.simulation import CarrierGroup, Occluder, PortalPassSimulator
+from repro.world.simulation import CarrierGroup, Occluder
 
 TRIALS = 20
 
@@ -24,11 +24,7 @@ def main() -> None:
     # 1. The fixed infrastructure: one reader with one area antenna at
     #    waist height, looking into a 1 m lane (the paper's baseline).
     setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=single_antenna_portal(tx_power_dbm=setup.tx_power_dbm),
-        env=setup.env,
-        params=setup.params,
-    )
+    simulator = setup.simulator(single_antenna_portal())
 
     # 2. The moving world: a box with a metal router inside, one tag on
     #    the front face, riding a cart at 1 m/s.

@@ -20,7 +20,6 @@ from repro.world.objects import BoxFace
 from repro.world.portal import dual_antenna_portal, single_antenna_portal
 from repro.world.read_zone import map_read_zone
 from repro.world.scenarios.object_tracking import build_box_cart
-from repro.world.simulation import PortalPassSimulator
 
 SLA = 0.98
 
@@ -52,9 +51,7 @@ def certify_portal() -> None:
     print(f"Step 2 — acceptance test against a {SLA:.0%} tracking SLA")
     print("  (two tags per box, two antennas — the paper's best scheme)")
     setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=dual_antenna_portal(), env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(dual_antenna_portal())
     carrier, boxes = build_box_cart([BoxFace.FRONT, BoxFace.SIDE_CLOSER])
     box_epcs = [[t.epc for t in b.all_tags()] for b in boxes]
     certifier = SequentialCertifier(

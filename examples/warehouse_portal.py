@@ -26,7 +26,6 @@ from repro.core.reliability import tracking_success
 from repro.world.objects import BoxFace
 from repro.world.portal import dual_antenna_portal, single_antenna_portal
 from repro.world.scenarios.object_tracking import build_box_cart
-from repro.world.simulation import PortalPassSimulator
 
 SURVEY_TRIALS = 6
 VALIDATION_TRIALS = 10
@@ -43,9 +42,7 @@ CANDIDATE_FACES = (
 
 def survey_single_opportunities(setup: PaperSetup) -> dict:
     """Measure per-placement read reliability with one antenna."""
-    simulator = PortalPassSimulator(
-        portal=single_antenna_portal(), env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(single_antenna_portal())
     rates = {}
     for face in CANDIDATE_FACES:
         carrier, _ = build_box_cart([face])
@@ -86,9 +83,7 @@ def main() -> None:
     portal = (
         single_antenna_portal() if plan.antennas == 1 else dual_antenna_portal()
     )
-    simulator = PortalPassSimulator(
-        portal=portal, env=setup.env, params=setup.params
-    )
+    simulator = setup.simulator(portal)
     faces = [BoxFace(value) for value in plan.placements]
     carrier, boxes = build_box_cart(faces)
     box_epcs = [[t.epc for t in b.all_tags()] for b in boxes]

@@ -8,7 +8,7 @@ Examples
     python -m repro table1 --reps 8 --json
     python -m repro table2 --record runs/table2
     python -m repro reader-redundancy
-    python -m repro explain --scenario cart --tag 3
+    python -m repro explain --scenario cart-front --tag 3
     python -m repro stats runs/table2
     python -m repro plan --target 0.995
     python -m repro report
@@ -684,8 +684,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     explain.add_argument(
-        "--scenario", default="cart",
-        help="registered workload (cart, walk)",
+        "--scenario", default="cart-front",
+        help=(
+            "scene from the catalog, e.g. cart-front, walk-front, "
+            "cart-antenna-fault (default cart-front)"
+        ),
     )
     explain.add_argument(
         "--pass-seed", type=int, default=DEFAULT_SEED,

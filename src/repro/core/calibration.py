@@ -26,12 +26,15 @@ are caught.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
+from ..obs.recorder import Recorder
 from ..rf.antenna import DipoleAntenna, PatchAntenna
 from ..rf.coupling import CouplingModel
 from ..rf.link import LinkEnvironment
 from ..rf.propagation import ChannelModel, PathLossModel, RicianFading, ShadowingModel
-from ..world.simulation import SimulationParameters
+from ..world.portal import Portal
+from ..world.simulation import PortalPassSimulator, SimulationParameters
 
 #: Conducted power of the paper's Matrics AR400 at default settings.
 CALIBRATED_TX_POWER_DBM = 30.0
@@ -88,3 +91,11 @@ class PaperSetup:
     params: SimulationParameters = field(
         default_factory=paper_simulation_parameters
     )
+
+    def simulator(
+        self, portal: Portal, recorder: Optional[Recorder] = None
+    ) -> PortalPassSimulator:
+        """The calibrated pass simulator for ``portal``."""
+        return PortalPassSimulator(
+            portal=portal, env=self.env, params=self.params, recorder=recorder
+        )

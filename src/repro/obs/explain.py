@@ -1,6 +1,7 @@
 """The ``python -m repro explain`` pipeline: why did this tag miss?
 
-Re-runs one pass of a registered scenario with every capture flag on
+Re-runs one pass of a catalog scene
+(:data:`repro.world.scenarios.catalog.SCENES`) with every capture flag on
 (link waterfalls, slots, RNG provenance), picks a tag, and renders the
 dominant-loss story: the per-term forward link-budget waterfall of the
 best dwell the tag ever got, the attributed
@@ -8,68 +9,21 @@ best dwell the tag ever got, the attributed
 Everything derives from ``(seed, trial)``, so the same invocation
 reproduces the same waterfall bit-for-bit.
 
-This module sits *above* the scenario layer (it builds carts and
-walks), which is why it is not imported from ``repro.obs.__init__`` —
-import it directly or through the CLI.
+This module sits *above* the scenario layer (it runs catalog scenes),
+which is why it is not imported from ``repro.obs.__init__`` — import
+it directly or through the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..rf.link import forward_waterfall
 from ..sim.rng import SeedSequence
+from ..world.scenarios.catalog import get_scene
 from .recorder import PassObservation, Recorder
 from .records import DwellLinkRecord, TagOutcomeRecord
-
-
-@dataclass(frozen=True)
-class ExplainScenario:
-    """One named workload the explain pipeline can re-run."""
-
-    name: str
-    description: str
-    #: Returns ``(simulator, carriers)`` ready for ``run_pass``.
-    build: Callable[[], Tuple[Any, List[Any]]]
-
-
-def _build_cart() -> Tuple[Any, List[Any]]:
-    from ..world.objects import BoxFace
-    from ..world.portal import single_antenna_portal
-    from ..world.scenarios.object_tracking import (
-        _make_simulator,
-        build_box_cart,
-    )
-
-    sim = _make_simulator(single_antenna_portal())
-    carrier, _ = build_box_cart([BoxFace.FRONT])
-    return sim, [carrier]
-
-
-def _build_walk() -> Tuple[Any, List[Any]]:
-    from ..world.humans import HumanTagPlacement
-    from ..world.portal import single_antenna_portal
-    from ..world.scenarios.human_tracking import _make_simulator, build_walk
-
-    sim = _make_simulator(single_antenna_portal())
-    carrier, _ = build_walk(1, [HumanTagPlacement.FRONT])
-    return sim, [carrier]
-
-
-#: Scenario registry: the workloads ``repro explain`` knows how to run.
-EXPLAIN_SCENARIOS: Dict[str, ExplainScenario] = {
-    "cart": ExplainScenario(
-        "cart",
-        "Table 1 box cart (12 boxes, front tags, single antenna)",
-        _build_cart,
-    ),
-    "walk": ExplainScenario(
-        "walk",
-        "Table 2 walking subject (front tag, single antenna)",
-        _build_walk,
-    ),
-}
 
 
 def record_waterfall(record: DwellLinkRecord) -> List[Tuple[str, float]]:
@@ -214,20 +168,14 @@ class Explanation:
 def run_instrumented_pass(
     scenario_name: str, seed: int, trial: int = 0
 ) -> Tuple[Any, Any, PassObservation]:
-    """One fully-captured pass: ``(simulator, result, observation)``."""
-    scenario = EXPLAIN_SCENARIOS.get(scenario_name)
-    if scenario is None:
-        known = ", ".join(sorted(EXPLAIN_SCENARIOS))
-        raise ValueError(
-            f"unknown explain scenario {scenario_name!r}; known: {known}"
-        )
-    recorder = Recorder(
+    """One fully-captured pass of a catalog scene, fault plan included:
+    ``(simulator, result, observation)``."""
+    task = get_scene(scenario_name).build()
+    task.simulator.recorder = Recorder(
         capture_link_budget=True, capture_slots=True, capture_rng=True
     )
-    sim, carriers = scenario.build()
-    sim.recorder = recorder
-    result = sim.run_pass(carriers, SeedSequence(seed), trial)
-    return sim, result, result.obs
+    result = task(SeedSequence(seed), trial)
+    return task.simulator, result, result.obs
 
 
 def _select_outcome(

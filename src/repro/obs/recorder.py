@@ -38,7 +38,7 @@ read, by this precedence:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.rng import RandomStream, SeedSequence
@@ -144,7 +144,6 @@ class PassRecording:
         self._link_records: List[DwellLinkRecord] = []
         self._slot_records: List[SlotRecord] = []
         self._masked: List[MaskedDwellRecord] = []
-        self._supervisor: List[SupervisorRecord] = []
         self._rng: List[RngStreamRecord] = []
         self._masked_count = 0
         self._truncated = 0
@@ -260,28 +259,6 @@ class PassRecording:
     def round_complete(self) -> None:
         self._metrics.counter("pass.rounds").inc()
 
-    def supervisor_event(
-        self,
-        time: float,
-        reader_id: str,
-        kind: str,
-        old: str,
-        new: str,
-        reason: str = "",
-    ) -> None:
-        self._metrics.counter("pass.supervisor_events").inc()
-        self._supervisor.append(
-            SupervisorRecord(
-                time=time,
-                trial=self.trial,
-                reader_id=reader_id,
-                kind=kind,
-                old=old,
-                new=new,
-                reason=reason,
-            )
-        )
-
     def rng_stream(self, name: str, seed: int) -> None:
         if self._recorder.capture_rng:
             self._rng.append(
@@ -344,7 +321,6 @@ class PassRecording:
             link_records=tuple(self._link_records),
             slot_records=tuple(self._slot_records),
             masked_dwells=tuple(self._masked),
-            supervisor_records=tuple(self._supervisor),
             rng_records=tuple(self._rng),
             truncated_link_records=self._truncated,
         )
@@ -423,22 +399,18 @@ class Recorder:
 
     def __init__(
         self,
-        enabled: bool = True,
         capture_link_budget: bool = False,
         capture_slots: bool = False,
         capture_rng: bool = False,
-        keep_events: bool = True,
         max_records_per_pass: int = 20000,
     ) -> None:
         if max_records_per_pass < 0:
             raise ValueError(
                 f"max_records_per_pass must be >= 0, got {max_records_per_pass!r}"
             )
-        self.enabled = enabled
         self.capture_link_budget = capture_link_budget
         self.capture_slots = capture_slots
         self.capture_rng = capture_rng
-        self.keep_events = keep_events
         self.max_records_per_pass = max_records_per_pass
         self.metrics = MetricsRegistry()
         self.events: List[Any] = []
@@ -453,8 +425,7 @@ class Recorder:
         """Fold one pass's observation into the run totals."""
         self.metrics.merge(MetricsRegistry.from_dict(observation.metrics))
         self.observations.append(observation)
-        if self.keep_events:
-            self.events.extend(observation.records())
+        self.events.extend(observation.records())
 
     def absorb_trial_set(self, label: str, trial_set: Any) -> None:
         """Fold a :class:`~repro.core.experiment.TrialSet` in.

@@ -30,7 +30,6 @@ every sweep for nightly-style runs.
 
 from .golden import (
     GOLDEN_DIR,
-    GOLDEN_SCENARIOS,
     bless_golden,
     check_golden,
     compute_golden_doc,
@@ -50,7 +49,6 @@ from .statistics import (
 __all__ = [
     "CheckResult",
     "GOLDEN_DIR",
-    "GOLDEN_SCENARIOS",
     "INVARIANT_CHECKS",
     "METAMORPHIC_CHECKS",
     "PILLARS",

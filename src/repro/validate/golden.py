@@ -1,8 +1,9 @@
 """Golden-trace regression: canonical recorded runs pinned as digests.
 
-One golden scenario is a fully instrumented recorded run — every link
-waterfall, slot, RNG derivation, and tag outcome — reduced to a digest
-document under ``tests/golden/``. The document stores the SHA-256 of
+Every scene of the catalog (:data:`repro.world.scenarios.catalog.SCENES`)
+is pinned as a fully instrumented recorded run — every link waterfall,
+slot, RNG derivation, and tag outcome — reduced to a digest document
+under ``tests/golden/<name>.json``. The document stores the SHA-256 of
 the canonical JSONL event stream plus a human-readable summary (reads,
 rounds, miss causes, slot outcomes), so a regression report says *what*
 drifted, not just that something did.
@@ -17,16 +18,15 @@ with ``python -m repro validate --bless``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..obs.jsonl import dump_records
 from ..obs.recorder import Recorder
 from ..sim.rng import SeedSequence
+from ..world.scenarios.catalog import SCENES, Scene, get_scene
 from .result import CheckResult, failed, ok
 
 PILLAR = "golden"
@@ -47,133 +47,6 @@ GOLDEN_DIR = os.path.join(
 GOLDEN_SEED = 20070625
 
 
-@dataclass(frozen=True)
-class GoldenScenario:
-    """One canonical workload pinned under ``tests/golden/``."""
-
-    name: str
-    description: str
-    #: Returns ``(simulator, carriers, fault_plan-or-None)``.
-    build: Callable[[], Tuple[Any, List[Any], Any]]
-    trials: int = 2
-    seed: int = GOLDEN_SEED
-
-
-def _build_cart_front() -> Tuple[Any, List[Any], Any]:
-    from ..world.objects import BoxFace
-    from ..world.portal import single_antenna_portal
-    from ..world.scenarios.object_tracking import (
-        _make_simulator,
-        build_box_cart,
-    )
-
-    sim = _make_simulator(single_antenna_portal())
-    carrier, _ = build_box_cart([BoxFace.FRONT])
-    return sim, [carrier], None
-
-
-def _build_cart_front_back() -> Tuple[Any, List[Any], Any]:
-    from ..world.objects import BoxFace
-    from ..world.portal import single_antenna_portal
-    from ..world.scenarios.object_tracking import (
-        _make_simulator,
-        build_box_cart,
-    )
-
-    sim = _make_simulator(single_antenna_portal())
-    carrier, _ = build_box_cart([BoxFace.FRONT, BoxFace.BACK])
-    return sim, [carrier], None
-
-
-def _build_walk_front() -> Tuple[Any, List[Any], Any]:
-    from ..world.humans import HumanTagPlacement
-    from ..world.portal import single_antenna_portal
-    from ..world.scenarios.human_tracking import _make_simulator, build_walk
-
-    sim = _make_simulator(single_antenna_portal())
-    carrier, _ = build_walk(1, [HumanTagPlacement.FRONT])
-    return sim, [carrier], None
-
-
-def _build_tag_plane_3m() -> Tuple[Any, List[Any], Any]:
-    from ..core.calibration import PaperSetup
-    from ..world.portal import single_antenna_portal
-    from ..world.scenarios.read_range import build_tag_plane
-    from ..world.simulation import PortalPassSimulator
-
-    setup = PaperSetup()
-    sim = PortalPassSimulator(
-        portal=single_antenna_portal(tx_power_dbm=setup.tx_power_dbm),
-        env=setup.env,
-        params=setup.params,
-    )
-    return sim, [build_tag_plane(3.0)], None
-
-
-def _build_cart_collisions() -> Tuple[Any, List[Any], Any]:
-    """The cart with one-slot frames pinned: every round collides, so
-    this trace is dense in collision slots — the workload that catches
-    a flipped slot outcome."""
-    sim, carriers, _ = _build_cart_front()
-    sim.params = dataclasses.replace(sim.params, q_initial=0, q_max=0)
-    return sim, carriers, None
-
-
-def _build_cart_antenna_fault() -> Tuple[Any, List[Any], Any]:
-    from ..faults.plan import AntennaFault, FaultPlan
-
-    sim, carriers, _ = _build_cart_front()
-    plan = FaultPlan(
-        antenna_faults=(
-            AntennaFault(
-                reader_id="reader-0",
-                antenna_id="ant-0",
-                start_s=1.0,
-            ),
-        )
-    )
-    return sim, carriers, plan
-
-
-#: The pinned scenario families, one per experiment axis: baseline
-#: object cart, tag redundancy, human tracking, the Figure 2 tag plane,
-#: a collision-saturated protocol trace, and a faulted pass.
-GOLDEN_SCENARIOS: Dict[str, GoldenScenario] = {
-    "cart-front": GoldenScenario(
-        "cart-front",
-        "Table 1 box cart, front tags, single antenna",
-        _build_cart_front,
-    ),
-    "cart-front-back": GoldenScenario(
-        "cart-front-back",
-        "Box cart with redundant front+back tags",
-        _build_cart_front_back,
-    ),
-    "walk-front": GoldenScenario(
-        "walk-front",
-        "Table 2 walking subject, front tag",
-        _build_walk_front,
-    ),
-    "tag-plane-3m": GoldenScenario(
-        "tag-plane-3m",
-        "Figure 2 twenty-tag plane at 3 m, single poll",
-        _build_tag_plane_3m,
-    ),
-    "cart-collisions": GoldenScenario(
-        "cart-collisions",
-        "Box cart with one-slot frames (collision-saturated)",
-        _build_cart_collisions,
-        trials=1,
-    ),
-    "cart-antenna-fault": GoldenScenario(
-        "cart-antenna-fault",
-        "Box cart with the antenna going silent at t=1s",
-        _build_cart_antenna_fault,
-        trials=1,
-    ),
-}
-
-
 def records_digest(lines: Iterable[str]) -> str:
     """SHA-256 over canonical JSONL lines (newline-joined)."""
     digest = hashlib.sha256()
@@ -183,27 +56,21 @@ def records_digest(lines: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def compute_golden_doc(scenario: GoldenScenario) -> Dict[str, Any]:
-    """Run a golden scenario fully instrumented and reduce it to its
+def compute_golden_doc(scene: Scene) -> Dict[str, Any]:
+    """Run a catalog scene fully instrumented and reduce it to its
     digest document."""
-    recorder = Recorder(
+    task = scene.build()
+    task.simulator.recorder = Recorder(
         capture_link_budget=True, capture_slots=True, capture_rng=True
     )
-    sim, carriers, fault_plan = scenario.build()
-    sim.recorder = recorder
     lines: List[str] = []
     tags_read: List[int] = []
     rounds: List[int] = []
     durations: List[float] = []
     slot_outcomes: Dict[str, int] = {}
     miss_causes: Dict[str, int] = {}
-    for trial in range(scenario.trials):
-        result = sim.run_pass(
-            list(carriers),
-            SeedSequence(scenario.seed),
-            trial,
-            fault_plan=fault_plan,
-        )
+    for trial in range(scene.trials):
+        result = task(SeedSequence(GOLDEN_SEED), trial)
         observation = result.obs
         lines.extend(dump_records(observation.records()))
         tags_read.append(
@@ -219,10 +86,10 @@ def compute_golden_doc(scenario: GoldenScenario) -> Dict[str, Any]:
                     miss_causes.get(out.cause.value, 0) + 1
                 )
     return {
-        "scenario": scenario.name,
-        "description": scenario.description,
-        "seed": scenario.seed,
-        "trials": scenario.trials,
+        "scenario": scene.name,
+        "description": scene.description,
+        "seed": GOLDEN_SEED,
+        "trials": scene.trials,
         "record_count": len(lines),
         "records_sha256": records_digest(lines),
         "summary": {
@@ -270,17 +137,17 @@ def check_golden(
     exact, so there is no deeper profile to widen into.
     """
     results: List[CheckResult] = []
-    selected = list(names) if names is not None else list(GOLDEN_SCENARIOS)
+    selected = list(names) if names is not None else list(SCENES)
     for name in selected:
-        scenario = GOLDEN_SCENARIOS.get(name)
+        scene = SCENES.get(name)
         check_name = f"golden:{name}"
-        if scenario is None:
+        if scene is None:
             results.append(
                 failed(
                     check_name,
                     PILLAR,
                     f"unknown golden scenario {name!r}; known: "
-                    + ", ".join(sorted(GOLDEN_SCENARIOS)),
+                    + ", ".join(sorted(SCENES)),
                 )
             )
             continue
@@ -298,7 +165,7 @@ def check_golden(
             continue
         with open(path, "r", encoding="utf-8") as handle:
             expected = json.load(handle)
-        actual = compute_golden_doc(scenario)
+        actual = compute_golden_doc(scene)
         diffs = diff_golden_docs(expected, actual)
         if diffs:
             results.append(
@@ -331,16 +198,10 @@ def bless_golden(names: Optional[Iterable[str]] = None) -> List[str]:
     protocol change, re-pin and commit the new documents alongside it.
     """
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    selected = list(names) if names is not None else list(GOLDEN_SCENARIOS)
+    selected = list(names) if names is not None else list(SCENES)
     paths: List[str] = []
     for name in selected:
-        scenario = GOLDEN_SCENARIOS.get(name)
-        if scenario is None:
-            raise ValueError(
-                f"unknown golden scenario {name!r}; known: "
-                + ", ".join(sorted(GOLDEN_SCENARIOS))
-            )
-        doc = compute_golden_doc(scenario)
+        doc = compute_golden_doc(get_scene(name))
         path = golden_path(name)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(doc, handle, indent=2, sort_keys=True)

@@ -27,12 +27,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Tuple
 
 from ..core.experiment import run_trials
-from ..core.parallel import PassTrialTask
 from ..core.redundancy import (
     combined_reliability,
     combined_reliability_correlated,
     marginal_gain,
 )
+from ..obs.explain import run_instrumented_pass
 from ..obs.jsonl import dump_records, parse_records
 from ..obs.manifest import RunManifest
 from ..obs.records import SlotRecord, TagOutcomeRecord
@@ -44,6 +44,7 @@ from ..protocol.crc import (
 )
 from ..protocol.epc import MAX_SERIAL, Sgtin96
 from ..sim.rng import SeedSequence
+from ..world.scenarios.catalog import SCENES
 from .result import CheckResult, failed, ok
 from .statistics import mean_confidence_interval  # noqa: F401  (re-export for tests)
 
@@ -168,12 +169,10 @@ def relabel_records(
 def check_epc_relabel_aggregates(seed: int, deep: bool = False) -> CheckResult:
     """Relabeling every EPC through a bijection permutes per-tag records
     but leaves every aggregate of the pass untouched."""
-    from ..obs.explain import run_instrumented_pass
-
     trials = 3 if deep else 1
     for trial in range(trials):
         _sim, _result, observation = run_instrumented_pass(
-            "cart", seed, trial
+            "cart-front", seed, trial
         )
         tag_records = list(observation.tag_outcomes)
         slot_records = list(observation.slot_records)
@@ -219,10 +218,7 @@ def check_epc_relabel_aggregates(seed: int, deep: bool = False) -> CheckResult:
 def check_seed_split_merge(seed: int, deep: bool = False) -> CheckResult:
     """A worker-pool trial loop merges to the serial loop's TrialSet:
     same outcomes, same trial-index order."""
-    from ..obs.explain import EXPLAIN_SCENARIOS
-
-    sim, carriers = EXPLAIN_SCENARIOS["walk"].build()
-    task = PassTrialTask(simulator=sim, carriers=tuple(carriers))
+    task = SCENES["walk-front"].build()
     reps = 6 if deep else 4
     serial = run_trials("validate-merge", task, reps, seed=seed, workers=1)
     split = run_trials("validate-merge", task, reps, seed=seed, workers=2)
@@ -340,9 +336,7 @@ def check_codec_round_trips(seed: int, deep: bool = False) -> CheckResult:
 def check_record_round_trips(seed: int, deep: bool = False) -> CheckResult:
     """JSONL record codec and manifest dict codec reproduce an
     instrumented pass's events bit-for-bit."""
-    from ..obs.explain import run_instrumented_pass
-
-    _sim, _result, observation = run_instrumented_pass("walk", seed, 0)
+    _sim, _result, observation = run_instrumented_pass("walk-front", seed, 0)
     records = list(observation.records())
     if not records:
         return failed(
@@ -368,7 +362,7 @@ def check_record_round_trips(seed: int, deep: bool = False) -> CheckResult:
     manifest = RunManifest.create(
         command="validate",
         seed=seed,
-        config={"scenario": "walk", "trials": 1},
+        config={"scenario": "walk-front", "trials": 1},
         wall_time_s=0.0,
         workers=None,
         started_at="2007-06-25T00:00:00+00:00",

@@ -73,12 +73,10 @@ def map_read_zone(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
     if simulator is None:
+        # Function-local: repro.core.calibration imports this package.
         from ..core.calibration import PaperSetup
 
-        setup = PaperSetup()
-        simulator = PortalPassSimulator(
-            portal=portal, env=setup.env, params=setup.params
-        )
+        simulator = PaperSetup().simulator(portal)
 
     xs = tuple(
         x_range[0] + i * (x_range[1] - x_range[0]) / (steps - 1)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
 from ...core.reliability import ReliabilityEstimate
 from ...faults import FaultPlan, FaultyTransport, ReaderCrash
@@ -236,7 +237,6 @@ def primary_crash_plan(
 
 def run_supervised_pass(
     simulator: PortalPassSimulator,
-    portal: Portal,
     carriers: Sequence,
     registry: ObjectRegistry,
     object_id: str,
@@ -290,7 +290,7 @@ def run_supervised_pass(
             )
 
     readers: List[SupervisedReader] = []
-    for assignment in portal.readers:
+    for assignment in simulator.portal.readers:
         interface = PolledInterface(
             [
                 e
@@ -357,22 +357,20 @@ class SupervisedPassTask:
     """
 
     simulator: PortalPassSimulator
-    portal: Portal
     carriers: Tuple[CarrierGroup, ...]
     registry: ObjectRegistry
     object_id: str
     plan_factory: PlanFactory
-    pass_duration_s: float
     policy: Optional[RetryPolicy] = None
     poll_interval_s: float = POLL_INTERVAL_S
 
     def __call__(
         self, seeds: SeedSequence, trial: int
     ) -> SupervisedTrialOutcome:
-        plan = self.plan_factory(seeds, trial, self.pass_duration_s)
+        duration = max(c.motion.duration_s for c in self.carriers)
+        plan = self.plan_factory(seeds, trial, duration)
         return run_supervised_pass(
             self.simulator,
-            self.portal,
             list(self.carriers),
             self.registry,
             self.object_id,
@@ -404,26 +402,16 @@ def _measure_config(
     different batch of passes. The fault-free and faulted cells of each
     portal share their stream label for exactly this reason.
     """
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=portal, env=setup.env, params=setup.params,
-        recorder=recorder,
-    )
     carrier, humans = build_walk(1, [placement])
     epc = humans[0].tags[0].epc
     registry = ObjectRegistry()
     registry.register(TrackedObject("subject-0", frozenset({epc})))
-    duration = carrier.motion.duration_s
     task = SupervisedPassTask(
-        simulator=simulator,
-        portal=portal,
+        simulator=PaperSetup().simulator(portal, recorder),
         carriers=(carrier,),
         registry=registry,
         object_id="subject-0",
         plan_factory=plan_factory,
-        pass_duration_s=duration,
         poll_interval_s=poll_interval_s,
     )
     trials = run_trials(

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
 from ...core.parallel import PassTrialTask
 from ...core.redundancy import combined_reliability
@@ -24,8 +25,8 @@ from ...obs.recorder import Recorder
 from ...protocol.epc import EpcFactory
 from ..humans import Human, HumanTagPlacement, two_abreast
 from ..motion import LinearPass
-from ..portal import Portal, dual_antenna_portal, single_antenna_portal
-from ..simulation import CarrierGroup, Occluder, PortalPassSimulator
+from ..portal import dual_antenna_portal, single_antenna_portal
+from ..simulation import CarrierGroup, Occluder
 
 PAPER_REPETITIONS = 20
 
@@ -84,13 +85,6 @@ def build_walk(
     return carrier, humans
 
 
-def _make_simulator(portal: Portal) -> PortalPassSimulator:
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    return PortalPassSimulator(portal=portal, env=setup.env, params=setup.params)
-
-
 @dataclass
 class HumanPlacementResult:
     """Table 2 style row: reliability per placement and subject role."""
@@ -125,9 +119,7 @@ def run_table2_experiment(
     under the pass geometry). ``recorder`` turns observability on for
     every pass; results are bit-identical with or without it.
     """
-    sim = _make_simulator(single_antenna_portal())
-    if recorder is not None:
-        sim.recorder = recorder
+    sim = PaperSetup().simulator(single_antenna_portal(), recorder)
     results: Dict[str, HumanPlacementResult] = {}
     for placement in placements:
         # One subject.
@@ -214,7 +206,7 @@ def run_human_redundancy_experiment(
             if case.antennas == 1
             else dual_antenna_portal()
         )
-        sim = _make_simulator(portal)
+        sim = PaperSetup().simulator(portal)
         placements = PLACEMENT_SETS[case.placement_set]
         carrier, humans = build_walk(case.subjects, placements)
         person_epcs = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
 from ...core.parallel import PassTrialTask
 from ...core.reliability import ReliabilityEstimate
@@ -25,7 +26,7 @@ from ...rf.materials import CARDBOARD, LIQUID, METAL, Material
 from ..motion import LinearPass
 from ..objects import BoxContent, BoxFace, cart_of_boxes
 from ..portal import single_antenna_portal
-from ..simulation import CarrierGroup, Occluder, PortalPassSimulator
+from ..simulation import CarrierGroup, Occluder
 
 #: Content configurations swept by the study: name -> (material, radius).
 MATERIAL_CASES: Dict[str, Optional[Tuple[Material, float]]] = {
@@ -104,12 +105,7 @@ def run_materials_study(
     workers: Optional[int] = None,
 ) -> MaterialStudyResult:
     """Measure per-material tag read reliability on the conveyor pass."""
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=single_antenna_portal(), env=setup.env, params=setup.params
-    )
+    simulator = PaperSetup().simulator(single_antenna_portal())
     rates: Dict[str, ReliabilityEstimate] = {}
     for case in cases:
         carrier, epcs = build_material_cart(case)

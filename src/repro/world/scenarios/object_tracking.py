@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
 from ...core.parallel import PassTrialTask
 from ...core.redundancy import combined_reliability
@@ -25,7 +26,7 @@ from ...obs.recorder import Recorder
 from ...protocol.epc import EpcFactory
 from ..motion import LinearPass
 from ..objects import BoxFace, TaggedBox, cart_of_boxes
-from ..portal import Portal, dual_antenna_portal, single_antenna_portal
+from ..portal import dual_antenna_portal, single_antenna_portal
 from ..simulation import CarrierGroup, Occluder, PortalPassSimulator
 
 PAPER_BOX_COUNT = 12
@@ -116,13 +117,6 @@ class ObjectTrackingResult:
         return sum(rates) / len(rates)
 
 
-def _make_simulator(portal: Portal) -> PortalPassSimulator:
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    return PortalPassSimulator(portal=portal, env=setup.env, params=setup.params)
-
-
 def run_table1_experiment(
     locations: Sequence[BoxFace] = TABLE1_LOCATIONS,
     repetitions: int = PAPER_REPETITIONS,
@@ -136,12 +130,13 @@ def run_table1_experiment(
     Each location is measured in its own run (as the paper did: "We
     performed this experiment for different tag locations"), one tag
     per box, 12 boxes x 12 repetitions = 144 Bernoulli trials per row.
-    ``recorder`` turns observability on for every pass; results are
-    bit-identical with or without it.
+    ``recorder`` turns observability on for every pass (on a copy of
+    ``simulator``, which is left as it was); results are bit-identical
+    with or without it.
     """
-    sim = simulator or _make_simulator(single_antenna_portal())
+    sim = simulator or PaperSetup().simulator(single_antenna_portal())
     if recorder is not None:
-        sim.recorder = recorder
+        sim = sim.with_recorder(recorder)
     results: Dict[BoxFace, ReliabilityEstimate] = {}
     for face in locations:
         carrier, boxes = build_box_cart([face])
@@ -228,9 +223,7 @@ def run_object_redundancy_experiment(
             if case.antennas == 1
             else dual_antenna_portal()
         )
-        sim = _make_simulator(portal)
-        if recorder is not None:
-            sim.recorder = recorder
+        sim = PaperSetup().simulator(portal, recorder)
         carrier, boxes = build_box_cart(list(case.faces))
         box_epcs: List[List[str]] = [
             [tag.epc for tag in box.all_tags()] for box in boxes

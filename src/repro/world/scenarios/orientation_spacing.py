@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials
 from ...core.parallel import PassTrialTask
 from ...core.reliability import CountDistribution
@@ -86,21 +87,14 @@ def run_orientation_spacing_experiment(
     orientations: Sequence[TagOrientation] = ALL_ORIENTATIONS,
     repetitions: int = PAPER_REPETITIONS,
     seed: int = DEFAULT_SEED,
-    simulator: PortalPassSimulator = None,
+    simulator: Optional[PortalPassSimulator] = None,
     workers: Optional[int] = None,
 ) -> Dict[Tuple[int, float], OrientationSpacingPoint]:
     """Reproduce Figure 4: the full orientation x spacing grid.
 
     Returns a dict keyed by (orientation case number, spacing).
     """
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    sim = simulator or PortalPassSimulator(
-        portal=single_antenna_portal(tx_power_dbm=setup.tx_power_dbm),
-        env=setup.env,
-        params=setup.params,
-    )
+    sim = simulator or PaperSetup().simulator(single_antenna_portal())
     results: Dict[Tuple[int, float], OrientationSpacingPoint] = {}
     for orientation in orientations:
         for spacing in spacings_m:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials
 from ...core.parallel import PassTrialTask
 from ...core.reliability import CountDistribution
@@ -89,26 +90,20 @@ def run_read_range_experiment(
     distances_m: Sequence[float] = PAPER_DISTANCES_M,
     repetitions: int = PAPER_REPETITIONS,
     seed: int = DEFAULT_SEED,
-    simulator: PortalPassSimulator = None,
+    simulator: Optional[PortalPassSimulator] = None,
     workers: Optional[int] = None,
     recorder: Optional[Recorder] = None,
 ) -> Dict[float, ReadRangePoint]:
     """Reproduce Figure 2: mean (and quartiles) of tags read per distance.
 
-    ``recorder``, when given, is attached to the simulator for every
-    pass and absorbs each distance's trial set (observations plus
-    per-trial wall times) — recording never perturbs the results.
+    ``recorder``, when given, records every pass (on a copy of
+    ``simulator``, which is left as it was) and absorbs each distance's
+    trial set (observations plus per-trial wall times) — recording
+    never perturbs the results.
     """
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    sim = simulator or PortalPassSimulator(
-        portal=single_antenna_portal(tx_power_dbm=setup.tx_power_dbm),
-        env=setup.env,
-        params=setup.params,
-    )
+    sim = simulator or PaperSetup().simulator(single_antenna_portal())
     if recorder is not None:
-        sim.recorder = recorder
+        sim = sim.with_recorder(recorder)
     results: Dict[float, ReadRangePoint] = {}
     for distance in distances_m:
         carrier = build_tag_plane(distance)

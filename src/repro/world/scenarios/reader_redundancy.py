@@ -16,15 +16,15 @@ lacked).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
+from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
 from ...core.parallel import PassTrialTask
 from ...core.reliability import ReliabilityEstimate
 from ...obs.recorder import Recorder
 from ..humans import HumanTagPlacement
 from ..portal import Portal, dual_reader_portal, single_antenna_portal
-from ..simulation import PortalPassSimulator
 from .human_tracking import build_walk
 
 PAPER_REPETITIONS = 20
@@ -58,13 +58,7 @@ def _measure(
     workers: Optional[int] = None,
     recorder: Optional[Recorder] = None,
 ) -> ReliabilityEstimate:
-    from ...core.calibration import PaperSetup
-
-    setup = PaperSetup()
-    simulator = PortalPassSimulator(
-        portal=portal, env=setup.env, params=setup.params,
-        recorder=recorder,
-    )
+    simulator = PaperSetup().simulator(portal, recorder)
     carrier, humans = build_walk(1, [placement])
     epc = humans[0].tags[0].epc
     trials = run_trials(

@@ -123,11 +123,9 @@ class TestSweepTrialOrdering:
     @staticmethod
     def _sweep(workers):
         from repro.core.experiment import sweep
-        from repro.core.parallel import PassTrialTask
-        from repro.obs.explain import EXPLAIN_SCENARIOS
+        from repro.world.scenarios.catalog import SCENES
 
-        sim, carriers = EXPLAIN_SCENARIOS["walk"].build()
-        task = PassTrialTask(simulator=sim, carriers=tuple(carriers))
+        task = SCENES["walk-front"].build()
         return sweep(
             label_fn=lambda v: f"ordering@{v:g}",
             values=[1.0, 2.0, 3.0],
@@ -158,15 +156,13 @@ class TestSweepTrialOrdering:
         from concurrent.futures import ProcessPoolExecutor
 
         from repro.core.parallel import (
-            PassTrialTask,
             gather_timed_trials,
             submit_timed_trials,
         )
-        from repro.obs.explain import EXPLAIN_SCENARIOS
         from repro.sim.rng import SeedSequence
+        from repro.world.scenarios.catalog import SCENES
 
-        sim, carriers = EXPLAIN_SCENARIOS["walk"].build()
-        task = PassTrialTask(simulator=sim, carriers=tuple(carriers))
+        task = SCENES["walk-front"].build()
         reps = 5
         serial = [task(SeedSequence(SEED), t) for t in range(reps)]
         with ProcessPoolExecutor(max_workers=2) as pool:

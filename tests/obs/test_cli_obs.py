@@ -49,7 +49,7 @@ class TestJsonFlag:
 class TestExplainCommand:
     def test_exit_zero_and_waterfall_text(self):
         code, output = _run(
-            ["explain", "--scenario", "walk", "--pass-seed", "7"]
+            ["explain", "--scenario", "walk-front", "--pass-seed", "7"]
         )
         assert code == 0
         assert "forward link waterfall" in output
@@ -57,11 +57,11 @@ class TestExplainCommand:
 
     def test_json_payload_parses(self):
         code, output = _run(
-            ["explain", "--scenario", "walk", "--pass-seed", "7", "--json"]
+            ["explain", "--scenario", "walk-front", "--pass-seed", "7", "--json"]
         )
         assert code == 0
         payload = json.loads(output)
-        assert payload["scenario"] == "walk"
+        assert payload["scenario"] == "walk-front"
         assert isinstance(payload["waterfall"], list)
 
     def test_unknown_scenario_exits_one(self):

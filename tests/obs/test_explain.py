@@ -3,18 +3,20 @@
 import pytest
 
 from repro.obs.explain import (
-    EXPLAIN_SCENARIOS,
     explain_tag,
     render_stats,
     run_instrumented_pass,
     stats_payload,
 )
+from repro.obs.records import MissCause
+from repro.validate.golden import GOLDEN_SEED
+from repro.world.scenarios.catalog import SCENES
 
 
 class TestScenarios:
     def test_registry_contains_the_paper_workloads(self):
-        assert "cart" in EXPLAIN_SCENARIOS
-        assert "walk" in EXPLAIN_SCENARIOS
+        assert "cart-front" in SCENES
+        assert "walk-front" in SCENES
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="cart"):
@@ -25,13 +27,13 @@ class TestExplainTag:
     def test_deterministic(self):
         """Two explain runs of the same (scenario, seed, trial, tag)
         produce identical payloads — the acceptance invariant."""
-        a = explain_tag("walk", seed=7, trial=1)
-        b = explain_tag("walk", seed=7, trial=1)
+        a = explain_tag("walk-front", seed=7, trial=1)
+        b = explain_tag("walk-front", seed=7, trial=1)
         assert a.to_payload() == b.to_payload()
         assert a.render() == b.render()
 
     def test_waterfall_arithmetic(self):
-        explanation = explain_tag("walk", seed=7, trial=1)
+        explanation = explain_tag("walk-front", seed=7, trial=1)
         total = sum(value for _, value in explanation.waterfall)
         assert explanation.power_at_tag_dbm == pytest.approx(total)
         assert explanation.forward_margin_db == pytest.approx(
@@ -39,18 +41,28 @@ class TestExplainTag:
         )
 
     def test_select_by_index_and_epc(self):
-        by_index = explain_tag("walk", seed=7, trial=1, tag="0")
+        by_index = explain_tag("walk-front", seed=7, trial=1, tag="0")
         by_epc = explain_tag(
-            "walk", seed=7, trial=1, tag=by_index.outcome.epc
+            "walk-front", seed=7, trial=1, tag=by_index.outcome.epc
         )
         assert by_index.to_payload() == by_epc.to_payload()
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
-            explain_tag("walk", seed=7, trial=1, tag="NOT-AN-EPC")
+            explain_tag("walk-front", seed=7, trial=1, tag="NOT-AN-EPC")
+
+    def test_faulted_scene_runs_its_fault_plan(self):
+        """The cart whose antenna goes silent at t=1s: every miss, the
+        first one included, is attributed to the injected fault."""
+        explanation = explain_tag("cart-antenna-fault", seed=GOLDEN_SEED)
+        assert not explanation.outcome.read
+        assert explanation.outcome.cause is MissCause.FAULT_MASKED
+        assert explanation.pass_summary["miss_causes"] == {
+            MissCause.FAULT_MASKED.value: 4
+        }
 
     def test_render_mentions_the_outcome(self):
-        explanation = explain_tag("walk", seed=7, trial=1)
+        explanation = explain_tag("walk-front", seed=7, trial=1)
         text = explanation.render()
         assert explanation.outcome.epc in text
         assert "forward margin" in text
@@ -66,14 +78,14 @@ class TestStats:
             write_manifest,
         )
 
-        _, _, observation = run_instrumented_pass("walk", seed=7, trial=0)
+        _, _, observation = run_instrumented_pass("walk-front", seed=7, trial=0)
         recorder = Recorder()
         recorder.absorb_observation(observation)
         directory = str(tmp_path / "run")
         write_manifest(
             directory,
             RunManifest.create(
-                command="walk", seed=7, config={}, wall_time_s=0.5
+                command="walk-front", seed=7, config={}, wall_time_s=0.5
             ),
         )
         write_events_jsonl(events_path(directory), recorder.events)
@@ -82,7 +94,7 @@ class TestStats:
     def test_stats_payload_counts_events(self, tmp_path):
         directory = self._record_run(tmp_path)
         payload = stats_payload(directory)
-        assert payload["manifest"]["command"] == "walk"
+        assert payload["manifest"]["command"] == "walk-front"
         assert payload["events"] > 0
         assert payload["events_by_type"].get("tag") == 1
         outcomes = payload["tag_outcomes"]

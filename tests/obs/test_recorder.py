@@ -10,8 +10,11 @@ from repro.protocol.epc import EpcFactory
 from repro.rf.geometry import Vec3
 from repro.sim.rng import SeedSequence
 from repro.world.motion import LinearPass, StationaryPlacement
+from repro.world.objects import BoxFace
 from repro.world.portal import single_antenna_portal
-from repro.world.simulation import CarrierGroup, PortalPassSimulator
+from repro.world.scenarios.object_tracking import run_table1_experiment
+from repro.world.scenarios.read_range import run_read_range_experiment
+from repro.world.simulation import CarrierGroup
 from repro.world.tags import Tag, TagOrientation
 
 SETUP = PaperSetup()
@@ -33,22 +36,12 @@ def _carrier(z=0.5, moving=False):
 
 
 def _sim(recorder=None):
-    return PortalPassSimulator(
-        portal=single_antenna_portal(),
-        env=SETUP.env,
-        params=SETUP.params,
-        recorder=recorder,
-    )
+    return SETUP.simulator(single_antenna_portal(), recorder)
 
 
 class TestZeroCostOff:
     def test_no_recorder_means_no_observation(self):
         result = _sim().run_pass([_carrier()], SeedSequence(3), 0)
-        assert result.obs is None
-
-    def test_disabled_recorder_means_no_observation(self):
-        recorder = Recorder(enabled=False)
-        result = _sim(recorder).run_pass([_carrier()], SeedSequence(3), 0)
         assert result.obs is None
 
 
@@ -157,3 +150,23 @@ class TestAggregation:
         counts = recorder.miss_cause_counts()
         assert sum(counts.values()) == 2
         assert counts.get("out_of_zone") == 2
+
+
+class TestEntryPointsLeaveTheCallersSimulator:
+    def test_recording_a_run_does_not_attach_the_recorder(self):
+        """An entry point records on a copy: the simulator handed in
+        stays unrecorded, so a later unrelated pass carries no obs."""
+        sim = _sim()
+        recorder = Recorder()
+        run_read_range_experiment(
+            distances_m=[3.0], repetitions=1, simulator=sim,
+            workers=1, recorder=recorder,
+        )
+        assert sim.recorder is None
+        run_table1_experiment(
+            locations=[BoxFace.FRONT], repetitions=1, simulator=sim,
+            workers=1, recorder=recorder,
+        )
+        assert sim.recorder is None
+        assert len(recorder.observations) == 2
+        assert sim.run_pass([_carrier()], SeedSequence(3), 0).obs is None

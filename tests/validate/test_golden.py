@@ -17,7 +17,7 @@ from repro.obs.jsonl import dump_records
 from repro.obs.recorder import Recorder
 from repro.sim.rng import SeedSequence
 from repro.validate.golden import (
-    GOLDEN_SCENARIOS,
+    GOLDEN_SEED,
     bless_golden,
     check_golden,
     compute_golden_doc,
@@ -25,33 +25,28 @@ from repro.validate.golden import (
     golden_path,
     records_digest,
 )
+from repro.world.scenarios.catalog import SCENES
 
 #: The smallest pinned scenario — the cheapest one to recompute in tests.
 SMALL = "tag-plane-3m"
 
 
-def _scenario_record_lines(scenario):
+def _scenario_record_lines(scene):
     """The exact canonical JSONL lines ``compute_golden_doc`` digests."""
-    recorder = Recorder(
+    task = scene.build()
+    task.simulator.recorder = Recorder(
         capture_link_budget=True, capture_slots=True, capture_rng=True
     )
-    sim, carriers, fault_plan = scenario.build()
-    sim.recorder = recorder
     lines = []
-    for trial in range(scenario.trials):
-        result = sim.run_pass(
-            list(carriers),
-            SeedSequence(scenario.seed),
-            trial,
-            fault_plan=fault_plan,
-        )
+    for trial in range(scene.trials):
+        result = task(SeedSequence(GOLDEN_SEED), trial)
         lines.extend(dump_records(result.obs.records()))
     return lines
 
 
 class TestPinnedDocuments:
     def test_every_scenario_has_a_pinned_file(self):
-        for name in GOLDEN_SCENARIOS:
+        for name in SCENES:
             assert os.path.exists(golden_path(name)), name
 
     def test_no_orphan_documents(self):
@@ -60,7 +55,7 @@ class TestPinnedDocuments:
             for entry in os.listdir(golden_mod.GOLDEN_DIR)
             if entry.endswith(".json")
         }
-        assert on_disk == set(GOLDEN_SCENARIOS)
+        assert on_disk == set(SCENES)
 
     def test_small_scenario_matches_its_pin(self):
         (result,) = check_golden(names=[SMALL])
@@ -86,7 +81,7 @@ class TestSingleFlippedSlotOutcomeDetected:
     def test_one_flip_changes_digest_and_fails_the_diff(self):
         """Flip exactly one slot record's outcome in the canonical event
         stream: the digest must change and the diff must name it."""
-        scenario = GOLDEN_SCENARIOS[SMALL]
+        scenario = SCENES[SMALL]
         lines = _scenario_record_lines(scenario)
         with open(golden_path(SMALL), encoding="utf-8") as handle:
             pinned = json.load(handle)
@@ -175,5 +170,5 @@ class TestBless:
         assert raw == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_golden_seed_ignores_cli_seed(self):
-        doc = compute_golden_doc(GOLDEN_SCENARIOS[SMALL])
-        assert doc["seed"] == golden_mod.GOLDEN_SEED
+        doc = compute_golden_doc(SCENES[SMALL])
+        assert doc["seed"] == GOLDEN_SEED

@@ -41,7 +41,7 @@ class TestFastChecksPass:
 
 class TestRelabelRecords:
     def test_bijection_renames_without_losing_records(self):
-        _, _, obs = run_instrumented_pass("walk", SEED)
+        _, _, obs = run_instrumented_pass("walk-front", SEED)
         mapping = {
             out.epc: f"RENAMED-{i:04d}"
             for i, out in enumerate(obs.tag_outcomes)

@@ -14,6 +14,7 @@ import repro.rf.link as link_mod
 import repro.validate.golden as golden_mod
 from repro.cli import main
 from repro.validate import run_validation
+from repro.world.scenarios.catalog import SCENES
 
 
 class TestFullRun:
@@ -30,7 +31,7 @@ class TestFullRun:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
-        assert payload["total"] == len(golden_mod.GOLDEN_SCENARIOS)
+        assert payload["total"] == len(SCENES)
         assert {c["pillar"] for c in payload["checks"]} == {"golden"}
 
 

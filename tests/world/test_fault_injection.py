@@ -31,7 +31,6 @@ from repro.world.scenarios.fault_injection import (
     run_supervised_pass,
 )
 from repro.world.scenarios.human_tracking import build_walk
-from repro.world.simulation import PortalPassSimulator
 
 from repro.rf.geometry import Vec3
 
@@ -47,12 +46,6 @@ def setup():
 def walk():
     carrier, humans = build_walk(1, ["front"])
     return carrier, humans[0].tags[0].epc
-
-
-def _simulator(setup, portal):
-    return PortalPassSimulator(
-        portal=portal, env=setup.env, params=setup.params
-    )
 
 
 class TestFailoverPortalWiring:
@@ -88,7 +81,7 @@ class TestFailoverPortalWiring:
 class TestMuxTakeover:
     def test_survivor_inherits_orphaned_antenna(self, setup, walk):
         carrier, _ = walk
-        sim = _simulator(setup, failover_portal())
+        sim = setup.simulator(failover_portal())
         plan = FaultPlan(crashes=(ReaderCrash("reader-0", 0.05),))
         result = sim.run_pass([carrier], SeedSequence(SEED), 0, fault_plan=plan)
         inherited = [
@@ -108,7 +101,7 @@ class TestMuxTakeover:
 
     def test_no_takeover_while_owner_healthy(self, setup, walk):
         carrier, _ = walk
-        sim = _simulator(setup, failover_portal())
+        sim = setup.simulator(failover_portal())
         result = sim.run_pass([carrier], SeedSequence(SEED), 0, fault_plan=None)
         assert all(
             e.antenna_id == "ant-1"
@@ -126,7 +119,7 @@ class TestSessionSemantics:
         # cycle at 1.0 its S0 flags have lapsed, so the same tag is
         # read again. (One read per tag per session otherwise.)
         carrier, _ = walk
-        sim = _simulator(setup, failover_portal())
+        sim = setup.simulator(failover_portal())
         plan = FaultPlan(
             crashes=(ReaderCrash("reader-1", 0.5, restart_at_s=1.0),)
         )
@@ -140,7 +133,7 @@ class TestSessionSemantics:
         # the session flags survive, so the pre-hang read is the only
         # one this reader ever produces.
         carrier, _ = walk
-        sim = _simulator(setup, failover_portal())
+        sim = setup.simulator(failover_portal())
         plan = FaultPlan(hangs=(ReaderHang("reader-1", 0.5, duration_s=0.5),))
         result = sim.run_pass([carrier], SeedSequence(SEED), 0, fault_plan=plan)
         times = [e.time for e in result.trace if e.reader_id == "reader-1"]
@@ -150,7 +143,7 @@ class TestSessionSemantics:
 class TestCoverageAnnotations:
     def test_silent_antenna_blinds_port_and_degrades_pass(self, setup, walk):
         carrier, _ = walk
-        sim = _simulator(setup, failover_portal())
+        sim = setup.simulator(failover_portal())
         plan = FaultPlan(
             antenna_faults=(AntennaFault("reader-0", "ant-0", 0.0),)
         )
@@ -161,7 +154,7 @@ class TestCoverageAnnotations:
 
     def test_crash_outage_reflected_in_coverage(self, setup, walk):
         carrier, _ = walk
-        sim = _simulator(setup, failover_portal())
+        sim = setup.simulator(failover_portal())
         plan = FaultPlan(crashes=(ReaderCrash("reader-0", 0.05),))
         result = sim.run_pass([carrier], SeedSequence(SEED), 0, fault_plan=plan)
         duration = result.duration_s
@@ -177,8 +170,7 @@ class TestBlindMissNeverConfidentAbsent:
         # first poll, the stack must say "unobserved", never "absent,
         # full confidence" — and the failure must be observable.
         carrier, epc = walk
-        portal = single_antenna_portal()
-        sim = _simulator(setup, portal)
+        sim = setup.simulator(single_antenna_portal())
         registry = ObjectRegistry()
         registry.register(TrackedObject("subject-0", frozenset({epc})))
         plan = primary_crash_plan(
@@ -188,7 +180,6 @@ class TestBlindMissNeverConfidentAbsent:
         )
         outcome = run_supervised_pass(
             sim,
-            portal,
             [carrier],
             registry,
             "subject-0",
@@ -209,15 +200,13 @@ class TestBlindMissNeverConfidentAbsent:
         # reported absent — degraded-mode caution must not leak into
         # healthy passes.
         carrier, _ = walk
-        portal = single_antenna_portal()
-        sim = _simulator(setup, portal)
+        sim = setup.simulator(single_antenna_portal())
         registry = ObjectRegistry()
         registry.register(
             TrackedObject("phantom", frozenset({"F" * 24}))
         )
         outcome = run_supervised_pass(
             sim,
-            portal,
             [carrier],
             registry,
             "phantom",
