@@ -381,6 +381,28 @@ class FaultPlan:
         ]
         return max(active) if active else None
 
+    def change_points(self, reader_id: str) -> List[float]:
+        """Sorted finite times at which this reader's dwell queries change.
+
+        Between two consecutive points (and after the last),
+        :meth:`reader_down` of every reader, :meth:`antenna_state` of
+        this reader's ports and :meth:`interference_dbm_at` are all
+        constant, so a query at a stretch's start holds for all of it.
+        Every reader counts because another reader's outage silences an
+        aggressor. A new time-varying fault must add its edges here.
+        """
+        edges = {0.0}
+        for crash in self.crashes:
+            edges.update((crash.at_s, crash.down_until))
+        for hang in self.hangs:
+            edges.update((hang.at_s, hang.end_s))
+        for fault in self.antenna_faults:
+            if fault.reader_id == reader_id:
+                edges.update((fault.start_s, fault.end_s))
+        for burst in self.interference_bursts:
+            edges.update((burst.start_s, burst.end_s))
+        return sorted(e for e in edges if e < math.inf)
+
     def wire_corruption_for(self, reader_id: str) -> Optional[WireCorruption]:
         for corruption in self.wire_corruptions:
             if corruption.reader_id == reader_id:

@@ -84,8 +84,9 @@ def interference_at_receiver_dbm(
     aggressors:
         Other simultaneously transmitting readers.
     co_channel:
-        Whether this dwell has the hop channels colliding. Callers roll
-        this per dwell with :data:`CO_CHANNEL_DWELL_PROBABILITY`.
+        Whether the hop channels collide. The pass simulator rolls this
+        once per inventory round with
+        :data:`CO_CHANNEL_DWELL_PROBABILITY`.
     """
     levels = []
     for agg in aggressors:

@@ -291,6 +291,33 @@ def run_inventory_round(
     return result
 
 
+def run_idle_round(
+    q_algo: QAlgorithm,
+    timing: Gen2Timing = DEFAULT_TIMING,
+    start_time: float = 0.0,
+    time_budget_s: Optional[float] = None,
+    slot_times: Optional[List[float]] = None,
+) -> float:
+    """Airtime of a round in which no tag contends: a Query and empty slots.
+
+    Does to ``q_algo`` exactly what :func:`run_inventory_round` does when
+    every tag is silent or inventoried — one ``on_empty`` per slot of the
+    frame, up to the time budget — and returns the same duration, summed
+    in the same order. The round draws no randomness, so a caller that
+    knows no tag can contend may run this instead. ``slot_times``, when
+    given, receives each slot's start time.
+    """
+    elapsed = timing.query_s
+    for _ in range(1 << q_algo.q):
+        if time_budget_s is not None and elapsed >= time_budget_s:
+            break
+        if slot_times is not None:
+            slot_times.append(start_time + elapsed)
+        q_algo.on_empty()
+        elapsed += timing.empty_slot_s
+    return elapsed
+
+
 def inventory_until(
     population: Sequence[str],
     channel: ChannelFn,

@@ -55,6 +55,7 @@ from ..protocol.gen2 import (
     InventorySession,
     QAlgorithm,
     TagChannel,
+    run_idle_round,
     run_inventory_round,
 )
 from ..protocol.timing import DEFAULT_TIMING, Gen2Timing
@@ -169,7 +170,9 @@ class PassLinkCache:
 
     Counters keep their per-evaluation meaning whichever layer answers:
     a composed replay still counts as a geometry hit and as the fading
-    hit or short-circuit the full evaluation would have been.
+    hit or short-circuit the full evaluation would have been, and so
+    does each evaluation an idle round skipped (see
+    :class:`_IdleProof`).
 
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
@@ -281,7 +284,8 @@ class SimulationParameters:
     capture_probability: float = 0.1
     #: TDMA dwell per antenna before the reader switches.
     tdma_slot_s: float = 0.10
-    #: Chance per dwell that two non-DRM readers land co-channel.
+    #: Chance that two non-DRM readers land co-channel, drawn once per
+    #: inventory round.
     co_channel_probability: float = CO_CHANNEL_DWELL_PROBABILITY
     #: Inter-tag near-field coupling model.
     coupling: CouplingModel = field(default_factory=CouplingModel)
@@ -375,6 +379,75 @@ class _Pass:
     fault_plan: Optional["FaultPlan"]
     cache: Optional[PassLinkCache]
     rec: Optional[PassRecording]
+    #: Every carrier is stationary, so no tag's scene key ever changes.
+    static: bool
+    #: Friis interference sums by (reader, antenna, live aggressors,
+    #: co-channel flag); ``None`` on the reference path, which sums
+    #: them afresh every round.
+    interference: Optional[Dict[tuple, Optional[float]]]
+
+
+@dataclass(slots=True)
+class _Segment:
+    """A stretch of one reader's timeline over which no fault changes.
+
+    Valid from the previous segment's ``end`` (or 0) up to ``end``: every
+    fault window is half-open with its edges among the segment edges, so
+    the :class:`~repro.faults.plan.FaultPlan` point queries evaluated at
+    the segment's start hold for all of it.
+    """
+
+    end: float
+    #: The reader is crashed or hung.
+    down: bool
+    #: Own antennas plus any backup ports taken over from a downed owner.
+    active: Tuple[AntennaInstallation, ...]
+    #: (silent, fault loss dB) of each active port, by antenna id.
+    ports: Dict[str, Tuple[bool, float]]
+    #: Other readers' radios that are up (the aggressors), and their ids.
+    live_radios: Tuple[ReaderRadio, ...]
+    live_key: Tuple[str, ...]
+    #: Strongest ambient interference burst, if one is on.
+    burst_dbm: Optional[float]
+
+
+@dataclass(slots=True)
+class _IdleProof:
+    """Why the next rounds of a reader cannot read anything.
+
+    Taken after a round in which no tag contended: ``links`` holds the
+    (tag, geometry entry, composed link) of every uninventoried tag that
+    round evaluated, none of them energized. While the scene is static
+    and the reader keeps the antenna, interference value and fault loss
+    of that round, every one of those evaluations would replay the same
+    dead channel, so a round is only a Query and empty slots.
+    """
+
+    antenna: AntennaInstallation
+    interference_dbm: Optional[float]
+    fault_loss_db: float
+    links: List[Tuple[Tag, GeometryEntry, ComposedLink]]
+    short_circuits: int
+
+    def holds(
+        self,
+        antenna: AntennaInstallation,
+        interference_dbm: Optional[float],
+        fault_loss_db: float,
+    ) -> bool:
+        return (
+            antenna is self.antenna
+            and interference_dbm == self.interference_dbm
+            and fault_loss_db == self.fault_loss_db
+        )
+
+    def replay(self, cache: PassLinkCache) -> None:
+        """Count one round's evaluations as the cache would have."""
+        evaluated = len(self.links)
+        cache.geometry_hits += evaluated
+        cache.composed_hits += evaluated
+        cache.short_circuits += self.short_circuits
+        cache.fading_hits += evaluated - self.short_circuits
 
 
 class _Scene:
@@ -512,19 +585,24 @@ class PortalPassSimulator:
                         reflector_behind = True
         return min(total, self.params.obstruction_cap_db), reflector_behind
 
-    def _coupling_db(self, carrier: CarrierGroup, tag: Tag) -> float:
-        """Near-field coupling penalty from this carrier's other tags.
+    def _coupling_table(
+        self, carriers: Sequence[CarrierGroup]
+    ) -> Dict[str, float]:
+        """Near-field coupling penalty of every tag, by EPC.
 
-        Carrier-local tag geometry is static, so distances at t=0 hold
-        for the whole pass.
+        A tag couples with its own carrier's other tags. Carrier-local
+        tag geometry is static, so distances at t=0 hold for the whole
+        pass, and each carrier's positions and axes are taken once.
         """
-        positions = [t.local_position for t in carrier.tags]
-        axes = [t.world_dipole_axis() for t in carrier.tags]
-        index = next(
-            i for i, t in enumerate(carrier.tags) if t.epc == tag.epc
-        )
-        penalty = self.params.coupling.total_penalty_db(index, positions, axes)
-        return tag.coupling_factor() * penalty
+        coupling = self.params.coupling
+        table: Dict[str, float] = {}
+        for carrier in carriers:
+            positions = [t.local_position for t in carrier.tags]
+            axes = [t.world_dipole_axis() for t in carrier.tags]
+            for index, tag in enumerate(carrier.tags):
+                penalty = coupling.total_penalty_db(index, positions, axes)
+                table[tag.epc] = tag.coupling_factor() * penalty
+        return table
 
     @staticmethod
     def _link_geometry(
@@ -936,10 +1014,7 @@ class PortalPassSimulator:
             carriers=carriers,
             epc_index=epc_index,
             population=population,
-            coupling_db={
-                tag.epc: self._coupling_db(carrier, tag)
-                for carrier, tag in all_tags
-            },
+            coupling_db=self._coupling_table(carriers),
             detuning_db={tag.epc: tag.detuning_db() for _, tag in all_tags},
             shadowing=shadowing,
             seeds=seeds,
@@ -949,6 +1024,10 @@ class PortalPassSimulator:
             fault_plan=fault_plan,
             cache=PassLinkCache() if self.use_link_cache else None,
             rec=rec,
+            static=all(
+                isinstance(c.motion, StationaryPlacement) for c in carriers
+            ),
+            interference={} if self.use_link_cache else None,
         )
         # Each reader runs its own inventory timeline; simultaneous
         # readers interfere but do not share airtime. Traces merge at
@@ -1000,10 +1079,20 @@ class PortalPassSimulator:
         """One reader's full pass: TDMA over its antennas, round after round.
 
         Appends the reader's reads to ``events``; returns its round count.
+
+        With the link cache on, a round that provably reads nothing is
+        fast-forwarded: it runs the Q algorithm over its empty slots and
+        charges their airtime, but builds no closure, runs no inventory
+        round and evaluates no link. A round is idle when the session
+        has inventoried every tag, or when an :class:`_IdleProof` from
+        the last round still holds. Its co-channel draw, cache counters
+        and recorder hooks are the ones the full round would have made.
+        The reference path (``use_link_cache=False``) runs every round.
         """
-        fault_plan = ctx.fault_plan
         rec = ctx.rec
+        cache = ctx.cache
         duration = ctx.duration
+        tdma_slot_s = self.params.tdma_slot_s
         protocol_rng = ctx.seeds.trial_stream(
             f"protocol:{reader.reader_id}", ctx.trial
         )
@@ -1014,40 +1103,24 @@ class PortalPassSimulator:
             q_max=self.params.q_max,
         )
         evaluate = (
-            self._evaluate_tag_cached if ctx.cache is not None
+            self._evaluate_tag_cached if cache is not None
             else self._evaluate_tag
         )
+        tag_count = len(ctx.population)
         rounds = 0
         t = 0.0
-        antennas = tuple(reader.antennas)
-        other_radios = self._other_radios(reader)
+        segments = self._fault_timeline(ctx, reader)
+        segment_index = 0
+        segment = segments[0]
         restarts = (
-            [] if fault_plan is None
-            else [c.down_until for c in fault_plan.crash_restarts(reader.reader_id)]
+            [] if ctx.fault_plan is None
+            else [
+                c.down_until
+                for c in ctx.fault_plan.crash_restarts(reader.reader_id)
+            ]
         )
         restart_cursor = 0
-        # RF-mux takeover windows: [start + detection delay, end) slices
-        # of another reader's outage during which its orphaned antennas
-        # are rerouted to this reader.
-        owner_of_antenna = {
-            a.antenna_id: r.reader_id
-            for r in self.portal.readers
-            for a in r.antennas
-        }
-        takeovers: List[Tuple[AntennaInstallation, float, float]] = []
-        if fault_plan is not None and reader.backup_antennas:
-            delay = self.params.mux_takeover_delay_s
-            for backup in reader.backup_antennas:
-                owner = owner_of_antenna[backup.antenna_id]
-                for start, end in fault_plan.reader_outages(owner):
-                    if start + delay < end:
-                        takeovers.append((backup, start + delay, end))
-
-        # Takeover windows open and close a handful of times per pass at
-        # most, so the active-antenna tuple is rebuilt only when the
-        # liveness mask changes instead of being re-allocated per dwell.
-        takeover_mask: Optional[Tuple[bool, ...]] = None
-        active: Tuple[AntennaInstallation, ...] = antennas
+        idle: Optional[_IdleProof] = None
 
         while t < duration:
             # A power-cycled reader comes back with a fresh inventory
@@ -1056,62 +1129,66 @@ class PortalPassSimulator:
             # previously read tags answer again.
             while restart_cursor < len(restarts) and t >= restarts[restart_cursor]:
                 session.reset()
+                idle = None
                 restart_cursor += 1
-            if fault_plan is not None and fault_plan.reader_down(
-                reader.reader_id, t
-            ):
+            while t >= segment.end:
+                segment_index += 1
+                segment = segments[segment_index]
+            if segment.down:
                 # Crashed or hung: no inventory, no airtime, no reads.
                 if rec is not None:
                     rec.masked_dwell(t, reader.reader_id, None, "reader_down")
-                t += self.params.tdma_slot_s
+                t += tdma_slot_s
                 continue
-            if takeovers:
-                mask = tuple(start <= t < end for (_, start, end) in takeovers)
-                if mask != takeover_mask:
-                    takeover_mask = mask
-                    inherited = tuple(
-                        a for (a, _, _), live in zip(takeovers, mask) if live
+            antenna = segment.active[int(t / tdma_slot_s) % len(segment.active)]
+            silent, fault_loss_db = segment.ports[antenna.antenna_id]
+            if silent:
+                # Cable cut: the dwell happens but nothing radiates.
+                if rec is not None:
+                    rec.masked_dwell(
+                        t, reader.reader_id, antenna.antenna_id, "antenna_silent"
                     )
-                    active = antennas + inherited if inherited else antennas
-            antenna = active[
-                int(t / self.params.tdma_slot_s) % len(active)
-            ]
-            fault_loss_db = 0.0
-            if fault_plan is not None:
-                silent, fault_loss_db = fault_plan.antenna_state(
-                    reader.reader_id, antenna.antenna_id, t
+                t += tdma_slot_s
+                continue
+            interference = self._interference_for(ctx, reader, antenna, segment)
+
+            everyone_read = session.inventoried_count == tag_count
+            if cache is not None and (
+                everyone_read
+                or (
+                    idle is not None
+                    and idle.holds(antenna, interference, fault_loss_db)
                 )
-                if silent:
-                    # Cable cut: the dwell happens but nothing radiates.
-                    if rec is not None:
-                        rec.masked_dwell(
-                            t,
+            ):
+                if idle is not None:
+                    idle.replay(cache)
+                slot_times: Optional[List[float]] = None
+                if rec is not None:
+                    if idle is not None:
+                        for tag, entry, link in idle.links:
+                            self._record_composed(
+                                ctx, entry, link, tag, antenna, reader, t
+                            )
+                    slot_times = []
+                elapsed = run_idle_round(
+                    q_algo, self.timing, t, duration - t, slot_times
+                )
+                rounds += 1
+                if rec is not None:
+                    for index, slot_time in enumerate(slot_times):
+                        rec.slot(
+                            slot_time,
                             reader.reader_id,
                             antenna.antenna_id,
-                            "antenna_silent",
+                            index,
+                            (),
+                            "empty",
+                            None,
                         )
-                    t += self.params.tdma_slot_s
-                    continue
-            # A crashed neighbour radiates nothing: drop it from the
-            # aggressor list for dwells inside its outage.
-            live_radios = other_radios
-            if fault_plan is not None and other_radios:
-                live_radios = [
-                    radio
-                    for radio in other_radios
-                    if not fault_plan.reader_down(radio.reader_id, t)
-                ]
-            interference = self._interference_for(
-                reader, antenna, live_radios, ctx.interference_rng
-            )
-            if fault_plan is not None:
-                burst = fault_plan.interference_dbm_at(t)
-                if burst is not None:
-                    interference = (
-                        burst
-                        if interference is None
-                        else sum_powers_dbm(interference, burst)
-                    )
+                    rec.round_complete()
+                t += max(elapsed, self.timing.query_s)
+                continue
+
             last_result: Dict[str, LinkResult] = {}
             # Taken on the round's first evaluation: many rounds of a
             # long pass evaluate no tag at all.
@@ -1178,10 +1255,126 @@ class PortalPassSimulator:
                         rssi_dbm=rssi,
                     )
                 )
+            idle = None
+            if (
+                cache is not None
+                and ctx.static
+                and scene
+                and not any(r.activated for r in last_result.values())
+            ):
+                idle = self._idle_proof(
+                    ctx, session, scene[0], antenna, interference, fault_loss_db
+                )
             # Advance by the airtime the round consumed (at least one
             # Query even if the field was empty).
             t += max(round_result.duration_s, self.timing.query_s)
         return rounds
+
+    @staticmethod
+    def _idle_proof(
+        ctx: _Pass,
+        session: InventorySession,
+        scene: _Scene,
+        antenna: AntennaInstallation,
+        interference_dbm: Optional[float],
+        fault_loss_db: float,
+    ) -> _IdleProof:
+        """The proof a round with no contender leaves for the next ones.
+
+        Every uninventoried tag was evaluated in that round, under the
+        geometry entry its scene key names; the entry keeps the link the
+        evaluation returned.
+        """
+        links = []
+        for epc in ctx.population:
+            if session.is_inventoried(epc):
+                continue
+            carrier, tag = ctx.epc_index[epc]
+            entry = ctx.cache.geometry[(epc, scene.keys[id(carrier)])]
+            links.append((tag, entry, entry.link))
+        return _IdleProof(
+            antenna,
+            interference_dbm,
+            fault_loss_db,
+            links,
+            sum(1 for _, _, link in links if link.result is None),
+        )
+
+    def _fault_timeline(
+        self, ctx: _Pass, reader: ReaderAssignment
+    ) -> List[_Segment]:
+        """Compile the fault plan into this reader's piecewise timeline.
+
+        Segment edges are the plan's
+        :meth:`~repro.faults.plan.FaultPlan.change_points` for
+        this reader plus the edges of its RF-mux takeover windows; each
+        segment holds the plan's point queries at its start. A
+        fault-free pass is one segment.
+        """
+        antennas = tuple(reader.antennas)
+        others = self._other_radios(reader)
+        plan = ctx.fault_plan
+        if plan is None:
+            return [
+                _Segment(
+                    end=math.inf,
+                    down=False,
+                    active=antennas,
+                    ports={a.antenna_id: (False, 0.0) for a in antennas},
+                    live_radios=tuple(others),
+                    live_key=tuple(r.reader_id for r in others),
+                    burst_dbm=None,
+                )
+            ]
+        # RF-mux takeover windows: [start + detection delay, end) slices
+        # of another reader's outage during which its orphaned antennas
+        # are rerouted to this reader.
+        owner_of_antenna = {
+            a.antenna_id: r.reader_id
+            for r in self.portal.readers
+            for a in r.antennas
+        }
+        takeovers: List[Tuple[AntennaInstallation, float, float]] = []
+        delay = self.params.mux_takeover_delay_s
+        for backup in reader.backup_antennas:
+            owner = owner_of_antenna[backup.antenna_id]
+            for start, end in plan.reader_outages(owner):
+                if start + delay < end:
+                    takeovers.append((backup, start + delay, end))
+
+        # The plan owns its own change points; a takeover window adds
+        # the detection delay past an outage start.
+        starts = sorted(
+            set(plan.change_points(reader.reader_id))
+            | {x for _, lo, hi in takeovers for x in (lo, hi) if x < math.inf}
+        )
+
+        segments = []
+        for i, start in enumerate(starts):
+            inherited = tuple(a for a, lo, hi in takeovers if lo <= start < hi)
+            active = antennas + inherited
+            # A crashed neighbour radiates nothing: it is no aggressor
+            # while it is down.
+            live = tuple(
+                r for r in others if not plan.reader_down(r.reader_id, start)
+            )
+            segments.append(
+                _Segment(
+                    end=starts[i + 1] if i + 1 < len(starts) else math.inf,
+                    down=plan.reader_down(reader.reader_id, start),
+                    active=active,
+                    ports={
+                        a.antenna_id: plan.antenna_state(
+                            reader.reader_id, a.antenna_id, start
+                        )
+                        for a in active
+                    },
+                    live_radios=live,
+                    live_key=tuple(r.reader_id for r in live),
+                    burst_dbm=plan.interference_dbm_at(start),
+                )
+            )
+        return segments
 
     def _other_radios(self, reader: ReaderAssignment) -> List[ReaderRadio]:
         """Radios of every *other* reader in the portal (the aggressors)."""
@@ -1203,20 +1396,45 @@ class PortalPassSimulator:
 
     def _interference_for(
         self,
+        ctx: _Pass,
         reader: ReaderAssignment,
         antenna: AntennaInstallation,
-        aggressors: List[ReaderRadio],
-        rng,
+        segment: _Segment,
     ) -> Optional[float]:
-        """In-band interference at this reader's receiver for one dwell."""
-        if not aggressors:
-            return None
-        victim = ReaderRadio(
-            reader_id=reader.reader_id,
-            position=antenna.position,
-            tx_power_dbm=reader.tx_power_dbm,
-            antenna_gain_dbi=self.env.reader_antenna.boresight_gain_dbi,
-            dense_reader_mode=reader.dense_reader_mode,
-        )
-        co_channel = rng.bernoulli(self.params.co_channel_probability)
-        return interference_at_receiver_dbm(victim, aggressors, co_channel)
+        """In-band interference at this reader's receiver for one round.
+
+        Live aggressors cost one co-channel Bernoulli on the pass's
+        interference stream per inventory round; the Friis sum for the
+        outcome is memoized per pass on the cached path. An ambient
+        burst adds on top.
+        """
+        interference = None
+        if segment.live_radios:
+            co_channel = ctx.interference_rng.bernoulli(
+                self.params.co_channel_probability
+            )
+            key = (reader.reader_id, antenna.antenna_id, segment.live_key, co_channel)
+            memo = ctx.interference
+            if memo is not None and key in memo:
+                interference = memo[key]
+            else:
+                victim = ReaderRadio(
+                    reader_id=reader.reader_id,
+                    position=antenna.position,
+                    tx_power_dbm=reader.tx_power_dbm,
+                    antenna_gain_dbi=self.env.reader_antenna.boresight_gain_dbi,
+                    dense_reader_mode=reader.dense_reader_mode,
+                )
+                interference = interference_at_receiver_dbm(
+                    victim, segment.live_radios, co_channel
+                )
+                if memo is not None:
+                    memo[key] = interference
+        burst = segment.burst_dbm
+        if burst is not None:
+            interference = (
+                burst
+                if interference is None
+                else sum_powers_dbm(interference, burst)
+            )
+        return interference

@@ -140,6 +140,61 @@ class TestPointQueries:
         assert plan.interference_dbm_at(2.5) == -45.0
         assert plan.interference_dbm_at(3.5) is None
 
+    def test_change_points_cover_every_fault_edge(self):
+        plan = FaultPlan(
+            crashes=(
+                ReaderCrash("reader-0", 1.0, 2.5),
+                ReaderCrash("reader-1", 3.0),
+            ),
+            hangs=(ReaderHang("reader-1", 0.5, 0.25),),
+            antenna_faults=(
+                AntennaFault("reader-0", "ant-0", 1.5, 1.75),
+                AntennaFault("reader-1", "ant-1", 0.25, 4.0),
+            ),
+            interference_bursts=(InterferenceBurst(2.0, 2.25, -50.0),),
+        )
+        # Every reader's outages, only this reader's ports, all bursts;
+        # a crash without restart adds no end.
+        assert plan.change_points("reader-0") == [
+            0.0, 0.5, 0.75, 1.0, 1.5, 1.75, 2.0, 2.25, 2.5, 3.0,
+        ]
+        assert FaultPlan().change_points("reader-0") == [0.0]
+
+    def test_queries_constant_between_change_points(self):
+        readers = ["reader-0", "reader-1"]
+        ports = [("reader-0", "ant-0"), ("reader-1", "ant-1")]
+        plan = FaultPlan.sample(
+            RandomStream(5),
+            reader_ids=readers,
+            duration_s=4.0,
+            crash_probability=1.0,
+            restart_probability=0.5,
+            hang_probability=1.0,
+            hang_duration_s=0.5,
+            antenna_silence_probability=1.0,
+            antennas=ports,
+            burst_probability=1.0,
+            burst_duration_s=0.5,
+        )
+
+        def state(reader_id, t):
+            return (
+                tuple(plan.reader_down(r, t) for r in readers),
+                tuple(
+                    plan.antenna_state(reader_id, a, t)
+                    for r, a in ports
+                    if r == reader_id
+                ),
+                plan.interference_dbm_at(t),
+            )
+
+        for reader_id in readers:
+            points = plan.change_points(reader_id)
+            for i in range(800):
+                t = i / 200.0
+                start = max(p for p in points if p <= t)
+                assert state(reader_id, t) == state(reader_id, start)
+
 
 class TestCoverageReport:
     ANTENNAS = (("reader-0", "ant-0"), ("reader-1", "ant-1"))

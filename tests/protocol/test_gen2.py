@@ -10,8 +10,10 @@ from repro.protocol.gen2 import (
     QAlgorithm,
     TagChannel,
     inventory_until,
+    run_idle_round,
     run_inventory_round,
 )
+from repro.protocol.timing import DEFAULT_TIMING
 from repro.sim.rng import RandomStream
 
 
@@ -279,3 +281,74 @@ class TestInventoryUntil:
         )
         assert result.unique_reads == set(population)
         assert result.duration_s < 2.5
+
+
+class TestIdleRound:
+    """``run_idle_round`` is a round in which no tag contends, run cheaply."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q_initial=st.integers(min_value=0, max_value=6),
+        steps=st.integers(min_value=0, max_value=30),
+        start_time=st.floats(min_value=0.0, max_value=2.0),
+        budget=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.01)),
+    )
+    def test_matches_a_silent_round(self, q_initial, steps, start_time, budget):
+        reference = QAlgorithm(q_initial=q_initial, q_max=6)
+        fast = QAlgorithm(q_initial=q_initial, q_max=6)
+        for _ in range(steps):
+            reference.on_empty()
+            fast.on_empty()
+        rng = RandomStream(18)
+        result = run_inventory_round(
+            _population(5),
+            silent_channel,
+            rng,
+            reference,
+            start_time=start_time,
+            time_budget_s=budget,
+        )
+        slot_times = []
+        duration = run_idle_round(
+            fast,
+            start_time=start_time,
+            time_budget_s=budget,
+            slot_times=slot_times,
+        )
+        assert duration == result.duration_s
+        assert slot_times == [s.time for s in result.slots]
+        assert all(s.kind == "empty" for s in result.slots)
+        assert fast._qfp == reference._qfp
+        # A silent round draws nothing either.
+        assert rng.random() == RandomStream(18).random()
+
+    @pytest.mark.parametrize("slots", [0, 1, 2, 5])
+    def test_budget_ending_exactly_on_a_slot(self, slots):
+        timing = DEFAULT_TIMING
+        budget = timing.query_s
+        for _ in range(slots):
+            budget += timing.empty_slot_s
+        reference = QAlgorithm(q_initial=3)
+        fast = QAlgorithm(q_initial=3)
+        result = run_inventory_round(
+            _population(3), silent_channel, RandomStream(20), reference,
+            time_budget_s=budget,
+        )
+        assert len(result.slots) == slots
+        assert run_idle_round(fast, time_budget_s=budget) == result.duration_s
+        assert fast._qfp == reference._qfp
+
+    def test_inventoried_population_is_idle(self):
+        population = _population(4)
+        session = InventorySession()
+        for epc in population:
+            session.mark(epc)
+        reference = QAlgorithm()
+        fast = QAlgorithm()
+        result = run_inventory_round(
+            population, perfect_channel, RandomStream(19), reference,
+            session=session,
+        )
+        assert run_idle_round(fast) == result.duration_s
+        assert result.read_epcs == []
+        assert fast._qfp == reference._qfp

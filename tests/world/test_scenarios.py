@@ -19,6 +19,7 @@ from repro.world.scenarios.orientation_spacing import (
     PAPER_SPACINGS_M,
     build_tag_row,
 )
+from repro.world.scenarios import read_range
 from repro.world.scenarios.read_range import (
     PAPER_DISTANCES_M,
     build_tag_plane,
@@ -65,6 +66,25 @@ class TestReadRangeScenario:
     def test_paper_distances(self):
         assert PAPER_DISTANCES_M[0] == 1.0
         assert PAPER_DISTANCES_M[-1] == 10.0
+
+    def test_experiment_calls_share_one_plane_per_distance(self, monkeypatch):
+        planes = []
+
+        def run_trials(label, task, *args, **kwargs):
+            planes.append(task.carriers[0])
+            return real_run_trials(label, task, *args, **kwargs)
+
+        real_run_trials = read_range.run_trials
+        monkeypatch.setattr(read_range, "run_trials", run_trials)
+        for _ in range(2):
+            read_range.run_read_range_experiment(
+                distances_m=(2.0, 3.0), repetitions=1
+            )
+        first, second = planes[:2], planes[2:]
+        assert [a is b for a, b in zip(first, second)] == [True, True]
+        assert first[0] is not first[1]
+        # The public builder still hands out a plane of the caller's own.
+        assert build_tag_plane(2.0) is not first[0]
 
 
 class TestOrientationSpacingScenario:

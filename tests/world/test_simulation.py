@@ -13,6 +13,7 @@ from repro.world.portal import (
     dual_reader_portal,
     single_antenna_portal,
 )
+from repro.world.scenarios.read_range import build_tag_plane
 from repro.world.simulation import (
     CarrierGroup,
     Occluder,
@@ -104,6 +105,36 @@ class TestBasicPass:
         carrier = _simple_carrier()
         result = _sim().run_pass([carrier], SeedSequence(1), 0)
         assert result.tags_read([carrier.tags[0].epc]) in (0, 1)
+
+
+class TestCouplingTable:
+    def test_matches_per_tag_penalty(self):
+        # Two carriers: a tight row whose tags couple, and a plane. The
+        # plane's EPCs are the factory's first 20, so the row skips them.
+        row = CarrierGroup(
+            motion=StationaryPlacement(Vec3(0.0, 1.0, 1.0)),
+            tags=[
+                Tag(
+                    epc=epc.to_hex(),
+                    local_position=Vec3(0.01 * i, 0.0, 0.0),
+                    orientation=TagOrientation.CASE_2_HORIZONTAL_FACING,
+                )
+                for i, epc in enumerate(EpcFactory().batch(24)[20:])
+            ],
+        )
+        plane = build_tag_plane(3.0)
+        sim = _sim()
+        table = sim._coupling_table([row, plane])
+        coupling = sim.params.coupling
+        for carrier in (row, plane):
+            positions = [t.local_position for t in carrier.tags]
+            axes = [t.world_dipole_axis() for t in carrier.tags]
+            for index, tag in enumerate(carrier.tags):
+                expected = tag.coupling_factor() * coupling.total_penalty_db(
+                    index, positions, axes
+                )
+                assert table[tag.epc] == expected
+        assert any(table[t.epc] > 0.0 for t in row.tags)
 
 
 class TestPhysicalEffects:
