@@ -18,14 +18,13 @@ Examples
     python -m repro lint --list-rules
 
 Every experiment command accepts ``--reps``, ``--seed`` and
-``--workers`` (trial fan-out over a process pool; defaults to the
-``REPRO_WORKERS`` environment variable, unset means serial), plus the
-observability pair: ``--record DIR`` attaches a
-:class:`~repro.obs.Recorder` to the run and writes ``manifest.json`` +
-``events.jsonl`` into ``DIR``, and ``--json`` (available on *every*
-subcommand) emits the machine-readable payload instead of the ASCII
-table — both views flow through one formatter,
-:func:`repro.core.report.emit`.
+``--workers`` (trial fan-out over a process pool of at most that many
+processes; unset means serial), plus the observability pair:
+``--record DIR`` attaches a :class:`~repro.obs.Recorder` to the run
+and writes ``manifest.json`` + ``events.jsonl`` into ``DIR``, and
+``--json`` (available on *every* subcommand) emits the
+machine-readable payload instead of the ASCII table — both views flow
+through one formatter, :func:`repro.core.report.emit`.
 """
 
 from __future__ import annotations
@@ -64,9 +63,9 @@ def _add_common(parser: argparse.ArgumentParser, default_reps: int) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
         help=(
-            "trial fan-out over a process pool; results are "
-            "bit-identical to serial (default: REPRO_WORKERS env, "
-            "unset = serial)"
+            "trial fan-out over a process pool of at most N "
+            "processes; results are bit-identical to serial "
+            "(default: serial)"
         ),
     )
     parser.add_argument(

@@ -18,14 +18,8 @@ from .constraints import (
     Observation,
     RouteConstraint,
 )
-from .experiment import DEFAULT_SEED, TrialSet, run_trials, sweep
-from .parallel import (
-    REPRO_WORKERS_ENV,
-    PassTrialTask,
-    execute_timed_trials,
-    resolve_workers,
-    task_is_picklable,
-)
+from .experiment import DEFAULT_SEED, TrialSet, run_trials
+from .parallel import PassTrialTask, resolve_workers
 from .model import (
     EmpiricalReliabilityModel,
     HUMAN_ONE_SUBJECT_RELIABILITY,
@@ -104,12 +98,8 @@ __all__ = [
     "DEFAULT_SEED",
     "TrialSet",
     "run_trials",
-    "sweep",
-    "REPRO_WORKERS_ENV",
     "PassTrialTask",
-    "execute_timed_trials",
     "resolve_workers",
-    "task_is_picklable",
     "EmpiricalReliabilityModel",
     "HUMAN_ONE_SUBJECT_RELIABILITY",
     "HUMAN_TWO_SUBJECT_RELIABILITY",

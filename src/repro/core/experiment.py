@@ -3,7 +3,10 @@
 The paper's methodology is uniform: fix a physical configuration,
 repeat the pass 10-40 times, report means and quartiles. This module
 is that loop — seeded, labelled, and aggregation-ready — shared by all
-scenarios and benchmarks.
+scenarios and benchmarks. :func:`run_trials` is the only way trials
+run: serially or fanned out over a process pool, and folded into a
+:class:`~repro.obs.Recorder` when one is given. A sweep is one
+``run_trials`` call per point.
 """
 
 from __future__ import annotations
@@ -12,17 +15,12 @@ import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, TypeVar
 
 from ..obs.metrics import summarise_timer
+from ..obs.recorder import Recorder
 from ..sim.rng import SeedSequence
-from .parallel import (
-    execute_timed_trials,
-    gather_timed_trials,
-    resolve_workers,
-    submit_timed_trials,
-    task_is_picklable,
-)
+from .parallel import _chunk_bounds, _run_trial_chunk_timed, resolve_workers
 from .reliability import CountDistribution, ReliabilityEstimate
 
 T = TypeVar("T")
@@ -89,6 +87,7 @@ def run_trials(
     repetitions: int,
     seed: int = DEFAULT_SEED,
     workers: Optional[int] = None,
+    recorder: Optional[Recorder] = None,
 ) -> TrialSet[T]:
     """Run ``trial_fn`` ``repetitions`` times with per-trial seeding.
 
@@ -97,94 +96,41 @@ def run_trials(
     must derive from those two so that re-running with the same seed
     reproduces the result exactly.
 
-    ``workers`` fans the trial loop out over a process pool (``None``
-    defers to the ``REPRO_WORKERS`` environment variable; unset means
-    serial). Because per-trial streams are derived statelessly from
-    ``(seed, name, trial)``, the parallel outcomes are **bit-identical**
-    to the serial loop, in trial-index order. Trial callables that
-    cannot be pickled (closures) silently run serially; use the trial
-    task dataclasses (e.g. :class:`~repro.core.parallel.PassTrialTask`)
-    to make a workload parallel-capable.
+    ``workers > 1`` fans the trial loop out in contiguous chunks over a
+    process pool of ``min(workers, repetitions)`` processes (``None``,
+    0 and 1 mean serial). Because per-trial streams are derived
+    statelessly from ``(seed, name, trial)``, the parallel outcomes are
+    **bit-identical** to the serial loop, in trial-index order. The
+    task must be picklable — use the trial task dataclasses (e.g.
+    :class:`~repro.core.parallel.PassTrialTask`); a closure raises the
+    pickling error when fanned out.
+
+    ``recorder``, when given, absorbs the finished trial set (pass
+    observations plus per-trial wall times) under ``label``.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
     effective = resolve_workers(workers)
-    if effective > 1 and task_is_picklable(trial_fn):
-        outcomes, seconds = execute_timed_trials(
-            trial_fn, repetitions, seed, effective
-        )
-        return TrialSet(label=label, outcomes=outcomes, trial_seconds=seconds)
-    seeds = SeedSequence(seed)
     trial_set: TrialSet[T] = TrialSet(label=label)
-    for trial in range(repetitions):
-        began = time.perf_counter()
-        trial_set.outcomes.append(trial_fn(seeds, trial))
-        trial_set.trial_seconds.append(time.perf_counter() - began)
-    return trial_set
-
-
-def sweep(
-    label_fn: Callable[[float], str],
-    values: Sequence[float],
-    trial_fn_factory: Callable[[float], Callable[[SeedSequence, int], T]],
-    repetitions: int,
-    seed: int = DEFAULT_SEED,
-    workers: Optional[int] = None,
-) -> Dict[float, TrialSet[T]]:
-    """Run a parameter sweep: one :func:`run_trials` per value.
-
-    Each sweep point derives its own seed from the root seed and the
-    parameter value, keeping points statistically independent while the
-    whole sweep stays reproducible. Two sweep values that collide after
-    rounding to 9 decimals would share a seed (and, if exactly equal,
-    silently overwrite each other's results), so duplicates raise
-    :class:`ValueError`.
-
-    With ``workers`` (or ``REPRO_WORKERS``) set and picklable trial
-    tasks, every (value, trial) pair across the whole sweep fans out
-    over one shared process pool, so narrow sweeps with few repetitions
-    per point still saturate the machine.
-    """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions!r}")
-    points: List[Tuple[float, int, Callable[[SeedSequence, int], T]]] = []
-    seen: Dict[str, float] = {}
-    for value in values:
-        key = repr(round(value, 9))
-        if key in seen:
-            raise ValueError(
-                f"sweep values {seen[key]!r} and {value!r} collide after "
-                f"round(value, 9); sweep points must be distinct"
-            )
-        seen[key] = value
-        point_seed = seed ^ stable_hash(key)
-        points.append((value, point_seed, trial_fn_factory(value)))
-
-    effective = resolve_workers(workers)
-    results: Dict[float, TrialSet[T]] = {}
-    if effective > 1 and all(task_is_picklable(fn) for _, _, fn in points):
-        # One pool for the whole sweep: submit every point's chunks up
-        # front, then collect in order.
-        with ProcessPoolExecutor(max_workers=effective) as pool:
-            submitted = [
-                (
-                    value,
-                    submit_timed_trials(
-                        pool, fn, repetitions, point_seed, effective
-                    ),
-                )
-                for value, point_seed, fn in points
+    if effective > 1:
+        pool_size = min(effective, repetitions)
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            # Chunks are contiguous and submitted in trial order, so
+            # collecting them in submission order restores trial order.
+            futures = [
+                pool.submit(_run_trial_chunk_timed, trial_fn, seed, start, stop)
+                for start, stop in _chunk_bounds(repetitions, effective)
             ]
-            for value, futures in submitted:
-                outcomes, seconds = gather_timed_trials(futures)
-                results[value] = TrialSet(
-                    label=label_fn(value),
-                    outcomes=outcomes,
-                    trial_seconds=seconds,
-                )
-        return results
-    for value, point_seed, fn in points:
-        results[value] = run_trials(
-            label_fn(value), fn, repetitions, seed=point_seed
-        )
-    return results
+            for future in futures:
+                for _, outcome, elapsed in future.result():
+                    trial_set.outcomes.append(outcome)
+                    trial_set.trial_seconds.append(elapsed)
+    else:
+        seeds = SeedSequence(seed)
+        for trial in range(repetitions):
+            began = time.perf_counter()
+            trial_set.outcomes.append(trial_fn(seeds, trial))
+            trial_set.trial_seconds.append(time.perf_counter() - began)
+    if recorder is not None:
+        recorder.absorb_trial_set(label, trial_set)
+    return trial_set

@@ -1,13 +1,12 @@
 """Pickle-safety family: trial callables must survive a process hop.
 
-``run_trials`` / ``sweep`` fan trials out over a
-``ProcessPoolExecutor`` when ``workers`` (or ``REPRO_WORKERS``) is set.
-A lambda or nested function cannot be pickled, so the harness silently
-falls back to the serial loop — the run still succeeds but the
-parallelism quietly evaporates. This rule makes that fallback loud at
-review time: callables handed to ``run_trials``, ``sweep``, or an
-executor's ``submit`` must be module-level (the trial-task dataclasses
-in ``core/parallel.py`` are the intended vehicles).
+``run_trials`` fans trials out over a ``ProcessPoolExecutor`` when
+``workers > 1``. A lambda or nested function cannot be pickled, so the
+run raises the pickling error the first time it is fanned out. This
+rule catches such a task at review time, before it runs: callables
+handed to ``run_trials`` or an executor's ``submit`` must be
+module-level (the trial-task dataclasses in ``core/parallel.py`` are
+the intended vehicles).
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ _CALLABLE_SLOT = {
     "run_trials": (1, "trial_fn"),
     "submit": (0, None),
 }
-
-#: ``sweep`` takes a *factory*; the factory itself runs in the parent
-#: process, so only a factory that literally returns a lambda is flagged.
-_SWEEP_SLOT = (2, "trial_fn_factory")
 
 
 def _simple_call_name(node: ast.Call) -> Optional[str]:
@@ -55,9 +50,9 @@ def _callable_arg(
     "pickle-nonportable-task",
     family="pickle-safety",
     rationale=(
-        "lambdas/closures passed to run_trials/sweep/submit cannot "
-        "cross the process boundary, silently downgrading the run to "
-        "serial; use a module-level trial task"
+        "lambdas/closures passed to run_trials/submit cannot cross "
+        "the process boundary, so the run raises when fanned out; use "
+        "a module-level trial task"
     ),
 )
 def check_nonportable_task(ctx: FileContext) -> Iterator[Finding]:
@@ -72,16 +67,6 @@ def check_nonportable_task(ctx: FileContext) -> Iterator[Finding]:
             offender = _nonportable(arg, nested)
             if offender is not None:
                 yield _finding(ctx, node, name, offender)
-        elif name == "sweep":
-            index, keyword = _SWEEP_SLOT
-            factory = _callable_arg(node, index, keyword)
-            # A lambda factory returning another lambda builds a
-            # non-picklable task per sweep point.
-            if (
-                isinstance(factory, ast.Lambda)
-                and isinstance(factory.body, ast.Lambda)
-            ):
-                yield _finding(ctx, node, name, "a lambda-built lambda")
 
 
 def _nonportable(arg: Optional[ast.AST], nested: frozenset) -> Optional[str]:
@@ -102,7 +87,7 @@ def _finding(
         col=node.col_offset,
         message=(
             f"{offender} passed to {call}() cannot be pickled; the "
-            f"trial loop silently falls back to serial — use a "
-            f"module-level task (see core/parallel.py)"
+            f"trial loop raises when fanned out — use a module-level "
+            f"task (see core/parallel.py)"
         ),
     )

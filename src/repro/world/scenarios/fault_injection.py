@@ -420,9 +420,8 @@ def _measure_config(
         repetitions,
         seed=seed ^ stable_hash(stream_label or label),
         workers=workers,
+        recorder=recorder,
     )
-    if recorder is not None:
-        recorder.absorb_trial_set(label, trials)
     return ConfigOutcome(
         label=label,
         estimate=trials.success_estimate(lambda o: o.detected),
@@ -495,8 +494,11 @@ def run_fault_rate_sweep(
     replays exactly from its seed. A lone reader's reliability decays
     with the crash rate; the failover pair only loses a pass when
     *both* readers die, so its curve bends like ``1 - rate**2``.
-    Returns ``{rate: (single_outcome, failover_outcome)}``.
+    Returns ``{rate: (single_outcome, failover_outcome)}``; a repeated
+    rate raises :class:`ValueError`.
     """
+    if len(set(rates)) != len(rates):
+        raise ValueError(f"fault rates must be distinct, got {list(rates)!r}")
     results: Dict[float, Tuple[ConfigOutcome, ConfigOutcome]] = {}
     for rate in rates:
         if not 0.0 <= rate <= 1.0:

@@ -132,9 +132,8 @@ def run_table2_experiment(
             repetitions,
             seed=seed ^ stable_hash("one:" + placement),
             workers=workers,
+            recorder=recorder,
         )
-        if recorder is not None:
-            recorder.absorb_trial_set(label1, set1)
         one = set1.success_estimate(lambda r: epc1 in r.read_epcs)
 
         # Two subjects, same placement on each.
@@ -148,9 +147,8 @@ def run_table2_experiment(
             repetitions,
             seed=seed ^ stable_hash("two:" + placement),
             workers=workers,
+            recorder=recorder,
         )
-        if recorder is not None:
-            recorder.absorb_trial_set(label2, set2)
         closer = set2.success_estimate(lambda r: closer_epc in r.read_epcs)
         farther = set2.success_estimate(lambda r: farther_epc in r.read_epcs)
         results[placement] = HumanPlacementResult(

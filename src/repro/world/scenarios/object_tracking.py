@@ -148,9 +148,8 @@ def run_table1_experiment(
             repetitions,
             seed=seed ^ stable_hash(face.value),
             workers=workers,
+            recorder=recorder,
         )
-        if recorder is not None:
-            recorder.absorb_trial_set(label, trial_set)
         successes = 0
         for outcome in trial_set.outcomes:
             seen = outcome.read_epcs
@@ -235,9 +234,8 @@ def run_object_redundancy_experiment(
             repetitions,
             seed=seed ^ stable_hash(case.name),
             workers=workers,
+            recorder=recorder,
         )
-        if recorder is not None:
-            recorder.absorb_trial_set(label, trial_set)
         successes = 0
         trials = 0
         for outcome in trial_set.outcomes:

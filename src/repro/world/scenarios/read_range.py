@@ -119,7 +119,21 @@ def run_read_range_experiment(
     ``simulator``, which is left as it was) and absorbs each distance's
     trial set (observations plus per-trial wall times) — recording
     never perturbs the results.
+
+    Each distance seeds its trials with ``seed ^ int(distance * 1000)``;
+    two distances with the same ``int(distance * 1000)`` would share a
+    seed (and, if equal, one result), so such a pair raises
+    :class:`ValueError`.
     """
+    seen: Dict[int, float] = {}
+    for distance in distances_m:
+        key = int(distance * 1000)
+        if key in seen:
+            raise ValueError(
+                f"distances {seen[key]!r} m and {distance!r} m share the "
+                f"seed offset int(distance * 1000) = {key}"
+            )
+        seen[key] = distance
     sim = simulator or PaperSetup().simulator(single_antenna_portal())
     if recorder is not None:
         sim = sim.with_recorder(recorder)
@@ -134,9 +148,8 @@ def run_read_range_experiment(
             repetitions,
             seed=seed ^ int(distance * 1000),
             workers=workers,
+            recorder=recorder,
         )
-        if recorder is not None:
-            recorder.absorb_trial_set(label, trial_set)
         distribution = trial_set.count_distribution(
             lambda r: r.tags_read(epcs), total=len(epcs)
         )

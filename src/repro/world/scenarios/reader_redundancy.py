@@ -67,9 +67,8 @@ def _measure(
         repetitions,
         seed=seed ^ stable_hash(label),
         workers=workers,
+        recorder=recorder,
     )
-    if recorder is not None:
-        recorder.absorb_trial_set(label, trials)
     return trials.success_estimate(lambda r: epc in r.read_epcs)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.experiment import TrialSet, run_trials, sweep
+from repro.core.experiment import TrialSet, run_trials
 from repro.sim.rng import SeedSequence
 
 
@@ -35,6 +35,17 @@ class TestRunTrials:
         b = run_trials("t", trial, 5, seed=456)
         assert a.outcomes != b.outcomes
 
+    def test_recorder_absorbs_the_trial_set_once(self):
+        absorbed = []
+
+        class Recorder:
+            def absorb_trial_set(self, label, trial_set):
+                absorbed.append((label, trial_set))
+
+        trials = run_trials("rec", lambda s, i: i, 3, recorder=Recorder())
+        assert absorbed == [("rec", trials)]
+        assert absorbed[0][1] is trials
+
     def test_trials_statistically_independent(self):
         def trial(seeds: SeedSequence, index: int) -> float:
             return seeds.trial_stream("x", index).random()
@@ -58,49 +69,6 @@ class TestTrialSet:
         trials = TrialSet("t", outcomes=[3, 5, 4])
         dist = trials.count_distribution(lambda x: x, total=5)
         assert dist.mean == pytest.approx(4.0)
-
-
-class TestSweep:
-    def test_one_trial_set_per_value(self):
-        results = sweep(
-            lambda v: f"v={v}",
-            [1.0, 2.0, 3.0],
-            lambda v: (lambda seeds, i: v * i),
-            repetitions=4,
-        )
-        assert set(results) == {1.0, 2.0, 3.0}
-        assert results[2.0].outcomes == [0.0, 2.0, 4.0, 6.0]
-
-    def test_sweep_points_reproducible(self):
-        def factory(v):
-            def trial(seeds, i):
-                return seeds.trial_stream("x", i).random()
-
-            return trial
-
-        a = sweep(str, [1.0], factory, 3, seed=9)
-        b = sweep(str, [1.0], factory, 3, seed=9)
-        assert a[1.0].outcomes == b[1.0].outcomes
-
-    def test_duplicate_values_rejected(self):
-        with pytest.raises(ValueError, match="collide"):
-            sweep(str, [1.0, 1.0], lambda v: (lambda s, i: i), 2)
-
-    def test_values_colliding_after_rounding_rejected(self):
-        # These differ in the 10th decimal: round(value, 9) folds them
-        # onto the same sweep key, which used to silently overwrite the
-        # first point's results.
-        with pytest.raises(ValueError, match="collide"):
-            sweep(
-                str,
-                [1.0000000001, 1.0000000002],
-                lambda v: (lambda s, i: i),
-                2,
-            )
-
-    def test_distinct_values_still_accepted(self):
-        results = sweep(str, [1.0, 1.001], lambda v: (lambda s, i: v), 1)
-        assert set(results) == {1.0, 1.001}
 
 
 class TestTrialTiming:

@@ -1,18 +1,13 @@
 """Tests for the process-pool trial engine (`repro.core.parallel`)."""
 
 import pickle
+from concurrent.futures import Future
 
 import pytest
 
-from repro.core.experiment import run_trials, sweep
-from repro.core.parallel import (
-    REPRO_WORKERS_ENV,
-    PassTrialTask,
-    _chunk_bounds,
-    execute_timed_trials,
-    resolve_workers,
-    task_is_picklable,
-)
+from repro.core import experiment
+from repro.core.experiment import run_trials
+from repro.core.parallel import PassTrialTask, _chunk_bounds, resolve_workers
 from repro.sim.rng import SeedSequence
 
 
@@ -26,31 +21,34 @@ class SquareTask:
         return isinstance(other, SquareTask)
 
 
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, starts no
+    process and runs each submitted call in this one."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestResolveWorkers:
-    def test_none_without_env_is_serial(self, monkeypatch):
-        monkeypatch.delenv(REPRO_WORKERS_ENV, raising=False)
+    def test_none_is_serial(self):
         assert resolve_workers(None) == 1
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.setenv(REPRO_WORKERS_ENV, "3")
-        assert resolve_workers(None) == 3
-
-    def test_empty_env_is_serial(self, monkeypatch):
-        monkeypatch.setenv(REPRO_WORKERS_ENV, "  ")
-        assert resolve_workers(None) == 1
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(REPRO_WORKERS_ENV, "8")
-        assert resolve_workers(2) == 2
 
     def test_zero_and_one_mean_serial(self):
         assert resolve_workers(0) == 1
         assert resolve_workers(1) == 1
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(REPRO_WORKERS_ENV, "many")
-        with pytest.raises(ValueError):
-            resolve_workers(None)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -58,13 +56,6 @@ class TestResolveWorkers:
 
 
 class TestPicklability:
-    def test_closure_is_not_picklable(self):
-        x = 3
-        assert not task_is_picklable(lambda s, i: i + x)
-
-    def test_importable_task_is_picklable(self):
-        assert task_is_picklable(SquareTask())
-
     def test_pass_trial_task_round_trips(self):
         task = PassTrialTask(simulator=None, carriers=("a", "b"))
         clone = pickle.loads(pickle.dumps(task))
@@ -91,56 +82,38 @@ class TestParallelExecution:
         parallel = run_trials("t", task, 9, seed=42, workers=3)
         assert parallel.outcomes == serial.outcomes
 
-    def test_execute_timed_trials_matches_inline_loop(self):
+    def test_pool_matches_inline_loop_with_one_time_per_trial(self):
         task = SquareTask()
         seeds = SeedSequence(7)
         expected = [task(seeds, i) for i in range(5)]
-        outcomes, seconds = execute_timed_trials(task, 5, 7, workers=2)
-        assert outcomes == expected
-        assert len(seconds) == len(outcomes)
-        assert all(elapsed >= 0.0 for elapsed in seconds)
+        trial_set = run_trials("t", task, 5, seed=7, workers=2)
+        assert trial_set.outcomes == expected
+        assert len(trial_set.trial_seconds) == len(expected)
+        assert all(elapsed >= 0.0 for elapsed in trial_set.trial_seconds)
 
-    def test_closure_falls_back_to_serial(self):
-        # A closure cannot cross the process boundary; run_trials must
-        # quietly run it inline rather than fail.
-        acc = []
+    def test_closure_raises_when_fanned_out(self):
+        # A closure cannot cross the process boundary; fanning it out
+        # fails loudly instead of quietly running on one core.
+        offset = 3
 
         def trial(seeds, i):
-            acc.append(i)
-            return i
+            return i + offset
 
-        result = run_trials("t", trial, 4, workers=4)
-        assert result.outcomes == [0, 1, 2, 3]
-        assert acc == [0, 1, 2, 3]
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            run_trials("t", trial, 4, workers=2)
 
-    def test_env_var_drives_run_trials(self, monkeypatch):
-        monkeypatch.setenv(REPRO_WORKERS_ENV, "2")
-        task = SquareTask()
-        assert (
-            run_trials("t", task, 6, seed=1).outcomes
-            == run_trials("t", task, 6, seed=1, workers=1).outcomes
+    @pytest.mark.parametrize(
+        "workers, repetitions, expected", [(4, 1, 1), (4, 3, 3), (2, 9, 2)]
+    )
+    def test_pool_sized_to_its_chunks(
+        self, monkeypatch, workers, repetitions, expected
+    ):
+        monkeypatch.setattr(InlineExecutor, "sizes", [])
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlineExecutor)
+        trial_set = run_trials(
+            "t", SquareTask(), repetitions, seed=5, workers=workers
         )
-
-
-class TestParallelSweep:
-    def test_sweep_parallel_matches_serial(self):
-        task_factory = lambda value: SquareTask()  # noqa: E731
-        serial = sweep(lambda v: f"v={v}", [1.0, 2.0], task_factory, 5, seed=9)
-        parallel = sweep(
-            lambda v: f"v={v}", [1.0, 2.0], task_factory, 5, seed=9, workers=2
-        )
-        assert set(serial) == set(parallel)
-        for value in serial:
-            assert serial[value].outcomes == parallel[value].outcomes
-            assert serial[value].label == parallel[value].label
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_rejects_zero_repetitions(self, workers):
-        with pytest.raises(ValueError):
-            sweep(
-                lambda v: f"v={v}",
-                [1.0],
-                lambda v: SquareTask(),
-                0,
-                workers=workers,
-            )
+        assert InlineExecutor.sizes == [expected]
+        assert trial_set.outcomes == run_trials(
+            "t", SquareTask(), repetitions, seed=5
+        ).outcomes

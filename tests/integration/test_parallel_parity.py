@@ -115,33 +115,35 @@ class TestScenarioParity:
 
 
 class TestSweepTrialOrdering:
-    """A parallel sweep must keep per-trial ``trial_seconds`` aligned
-    with outcomes in (config key, trial index) order, exactly like the
-    serial loop — ``TrialSet`` excludes timings from ``==``, so this is
-    pinned explicitly."""
+    """The pool path of ``run_trials`` must keep per-trial
+    ``trial_seconds`` aligned with outcomes in trial-index order,
+    exactly like the serial loop — ``TrialSet`` excludes timings from
+    ``==``, so this is pinned explicitly. A sweep is one ``run_trials``
+    call per point, so each point is checked the same way."""
 
     @staticmethod
     def _sweep(workers):
-        from repro.core.experiment import sweep
+        from repro.core.experiment import run_trials
         from repro.world.scenarios.catalog import SCENES
 
         task = SCENES["walk-front"].build()
-        return sweep(
-            label_fn=lambda v: f"ordering@{v:g}",
-            values=[1.0, 2.0, 3.0],
-            trial_fn_factory=lambda v: task,
-            repetitions=5,
-            seed=SEED,
-            workers=workers,
-        )
+        return {
+            point: run_trials(
+                f"ordering@{point}",
+                task,
+                repetitions=5,
+                seed=SEED ^ point,
+                workers=workers,
+            )
+            for point in (1, 2, 3)
+        }
 
     def test_parallel_sweep_preserves_trial_order(self):
         serial = self._sweep(workers=1)
         parallel = self._sweep(workers=2)
         assert parallel == serial
-        assert list(parallel) == list(serial) == [1.0, 2.0, 3.0]
-        for value, serial_set in serial.items():
-            parallel_set = parallel[value]
+        for point, serial_set in serial.items():
+            parallel_set = parallel[point]
             # One wall time per trial, aligned with the outcome at the
             # same index, for every sweep point.
             assert len(parallel_set.trial_seconds) == len(
@@ -149,24 +151,3 @@ class TestSweepTrialOrdering:
             )
             assert parallel_set.outcomes == serial_set.outcomes
             assert all(s >= 0.0 for s in parallel_set.trial_seconds)
-
-    def test_gather_restores_order_from_shuffled_futures(self):
-        """gather_timed_trials must not depend on future iteration
-        order: chunks handed over reversed still merge to trial order."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.core.parallel import (
-            gather_timed_trials,
-            submit_timed_trials,
-        )
-        from repro.sim.rng import SeedSequence
-        from repro.world.scenarios.catalog import SCENES
-
-        task = SCENES["walk-front"].build()
-        reps = 5
-        serial = [task(SeedSequence(SEED), t) for t in range(reps)]
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            futures = submit_timed_trials(pool, task, reps, SEED, 3)
-            outcomes, seconds = gather_timed_trials(list(reversed(futures)))
-        assert outcomes == serial
-        assert len(seconds) == reps

@@ -1,4 +1,4 @@
-"""Fixture: closures handed to the parallel trial harness."""
+"""Fixture: closures handed to the parallel trial loop (raise when fanned out)."""
 
 from repro.core.experiment import run_trials
 
@@ -9,6 +9,7 @@ def experiment(simulator, reps: int, seed: int):
 
     run_trials("closure", trial, reps, seed=seed)  # expect[pickle-nonportable-task]
     run_trials("lambda", lambda seeds, i: i, reps, seed=seed)  # expect[pickle-nonportable-task]
+    run_trials("keyword", trial_fn=trial, repetitions=reps, workers=2)  # expect[pickle-nonportable-task]
 
 
 def fan_out(pool):

@@ -6,4 +6,4 @@ from repro.core.parallel import PassTrialTask
 
 def experiment(simulator, carriers, reps: int, seed: int):
     task = PassTrialTask(simulator=simulator, carriers=tuple(carriers))
-    return run_trials("portable", task, reps, seed=seed)
+    return run_trials("portable", task, reps, seed=seed, workers=2)

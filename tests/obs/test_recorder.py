@@ -2,6 +2,8 @@
 
 import pickle
 
+import pytest
+
 from repro.core.calibration import PaperSetup
 from repro.core.experiment import run_trials
 from repro.core.parallel import PassTrialTask
@@ -9,11 +11,21 @@ from repro.obs import Recorder, TracingSeedSequence
 from repro.protocol.epc import EpcFactory
 from repro.rf.geometry import Vec3
 from repro.sim.rng import SeedSequence
+from repro.world.humans import HumanTagPlacement
 from repro.world.motion import LinearPass, StationaryPlacement
 from repro.world.objects import BoxFace
 from repro.world.portal import single_antenna_portal
-from repro.world.scenarios.object_tracking import run_table1_experiment
+from repro.world.scenarios.fault_injection import run_fault_injection_experiment
+from repro.world.scenarios.human_tracking import run_table2_experiment
+from repro.world.scenarios.object_tracking import (
+    TABLE3_CASES,
+    run_object_redundancy_experiment,
+    run_table1_experiment,
+)
 from repro.world.scenarios.read_range import run_read_range_experiment
+from repro.world.scenarios.reader_redundancy import (
+    run_reader_redundancy_experiment,
+)
 from repro.world.simulation import CarrierGroup
 from repro.world.tags import Tag, TagOrientation
 
@@ -170,3 +182,37 @@ class TestEntryPointsLeaveTheCallersSimulator:
         assert sim.recorder is None
         assert len(recorder.observations) == 2
         assert sim.run_pass([_carrier()], SeedSequence(3), 0).obs is None
+
+
+#: (entry point, keyword arguments, passes it runs at repetitions=1).
+ENTRY_POINTS = {
+    "read_range": (run_read_range_experiment, dict(distances_m=[2.0, 3.0]), 2),
+    "table1": (run_table1_experiment, dict(locations=[BoxFace.FRONT]), 1),
+    "object_redundancy": (
+        run_object_redundancy_experiment,
+        dict(
+            cases=TABLE3_CASES[:1],
+            single_opportunity={BoxFace.FRONT: 0.5},
+        ),
+        1,
+    ),
+    "table2": (
+        run_table2_experiment, dict(placements=[HumanTagPlacement.FRONT]), 2,
+    ),
+    "reader_redundancy": (run_reader_redundancy_experiment, {}, 3),
+    "fault_injection": (run_fault_injection_experiment, {}, 4),
+}
+
+
+class TestEachTrialSetAbsorbedOnce:
+    """A recorder handed to an entry point folds in every pass exactly
+    once, on the serial loop and on the pool alike."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_one_observation_and_one_wall_time_per_pass(self, entry, workers):
+        run, kwargs, passes = ENTRY_POINTS[entry]
+        recorder = Recorder()
+        run(repetitions=1, seed=11, workers=workers, recorder=recorder, **kwargs)
+        assert len(recorder.observations) == passes
+        assert recorder.metrics.timer("trial.wall_s").count == passes

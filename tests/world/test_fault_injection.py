@@ -28,6 +28,7 @@ from repro.world.portal import (
 )
 from repro.world.scenarios.fault_injection import (
     primary_crash_plan,
+    run_fault_rate_sweep,
     run_supervised_pass,
 )
 from repro.world.scenarios.human_tracking import build_walk
@@ -218,3 +219,10 @@ class TestBlindMissNeverConfidentAbsent:
         assert not outcome.degraded
         assert outcome.verdict == "absent"
         assert outcome.coverage == 1.0
+
+
+class TestFaultRateSweep:
+    def test_repeated_rate_rejected(self):
+        # Accepted, a repeated rate would run twice and keep one result.
+        with pytest.raises(ValueError, match="distinct"):
+            run_fault_rate_sweep(rates=[0.5, 0.5], repetitions=1)

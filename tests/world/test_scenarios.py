@@ -86,6 +86,16 @@ class TestReadRangeScenario:
         # The public builder still hands out a plane of the caller's own.
         assert build_tag_plane(2.0) is not first[0]
 
+    @pytest.mark.parametrize("distances", [(1.0, 1.0), (1.0, 1.0004)])
+    def test_experiment_rejects_distances_sharing_a_seed(self, distances):
+        # Both distances would seed their trials with the same
+        # int(distance * 1000); accepted, (1.0, 1.0) would run twice and
+        # return one point.
+        with pytest.raises(ValueError, match="share the seed"):
+            read_range.run_read_range_experiment(
+                distances_m=distances, repetitions=1
+            )
+
 
 class TestOrientationSpacingScenario:
     def test_ten_tags(self):
