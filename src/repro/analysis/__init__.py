@@ -21,23 +21,7 @@ from .tables import (
 
 from .figures import Series, heatmap, line_plot, sparkline
 
-from .trace_stats import (
-    PassProfile,
-    RssiSummary,
-    antenna_balance,
-    antenna_utilization,
-    inter_read_gaps,
-    read_rate_over_time,
-)
-
 __all__ = [
-    "PassProfile",
-    "RssiSummary",
-    "antenna_balance",
-    "antenna_utilization",
-    "inter_read_gaps",
-    "read_rate_over_time",
-
     "Series",
     "heatmap",
     "line_plot",

@@ -47,14 +47,6 @@ from .reliability import (
     tracking_success,
 )
 
-from .sensitivity import (
-    ParameterSpec,
-    SensitivityResult,
-    conclusion_robust,
-    one_at_a_time,
-    tornado_rows,
-)
-
 from .localization import (
     LandmarcLocator,
     LocalizationError,
@@ -76,12 +68,6 @@ __all__ = [
     "ReferenceTag",
     "grid_references",
     "signal_distance",
-
-    "ParameterSpec",
-    "SensitivityResult",
-    "conclusion_robust",
-    "one_at_a_time",
-    "tornado_rows",
 
     "CALIBRATED_TX_POWER_DBM",
     "PaperSetup",

@@ -3,8 +3,7 @@
 One record per line, ``{"type": ..., **fields}``. Finite floats
 round-trip losslessly through Python's ``json`` (it emits ``repr``
 shortest-form floats), so a parsed file reproduces the recorded
-records bit-for-bit — the same guarantee
-:meth:`repro.sim.trace.ReadTrace.to_jsonl` gives for read traces.
+records bit-for-bit.
 """
 
 from __future__ import annotations

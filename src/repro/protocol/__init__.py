@@ -71,14 +71,7 @@ from .select import (
 
 from .tag_state import Gen2TagMachine, TagState, TagStateError
 
-from .memory import LockState, MemoryBank, MemoryError, TagMemory
-
 __all__ = [
-    "LockState",
-    "MemoryBank",
-    "MemoryError",
-    "TagMemory",
-
     "Gen2TagMachine",
     "TagState",
     "TagStateError",

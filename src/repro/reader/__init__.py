@@ -40,12 +40,7 @@ from .device import DeviceConfig, DeviceError, ReaderDevice
 
 from .site import Checkpoint, Journey, SiteError, SiteTracker
 
-from .smurf import EpochObservations, SmurfCleaner
-
 __all__ = [
-    "EpochObservations",
-    "SmurfCleaner",
-
     "Checkpoint",
     "Journey",
     "SiteError",

@@ -1,14 +1,10 @@
-"""Deterministic discrete-event simulation substrate."""
+"""Simulation substrate: named seeded RNG streams, event types, read traces."""
 
-from .engine import Engine, SimulationError
-from .events import ScheduledEvent, SlotOutcome, TagReadEvent
+from .events import SlotOutcome, TagReadEvent
 from .rng import RandomStream, SeedSequence
 from .trace import ReadTrace
 
 __all__ = [
-    "Engine",
-    "SimulationError",
-    "ScheduledEvent",
     "SlotOutcome",
     "TagReadEvent",
     "RandomStream",

@@ -8,18 +8,8 @@ AR400's XML tag lists that the paper's Java harness consumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from .events import TagReadEvent
 
@@ -28,7 +18,7 @@ from .events import TagReadEvent
 class ReadTrace:
     """An append-only, time-ordered record of tag reads.
 
-    Per-EPC queries (:meth:`was_read`, :meth:`reads_of`,
+    Per-EPC queries (:meth:`was_read`, :meth:`read_counts`,
     :meth:`first_read_time`) are served from a lazily built per-EPC
     index rather than full scans: the index is constructed on the first
     query and invalidated by :meth:`record`, so dedup-style access
@@ -82,17 +72,6 @@ class ReadTrace:
         """True when ``epc`` appears anywhere in the trace."""
         return epc in self._index()
 
-    def reads_of(self, epc: str) -> List[TagReadEvent]:
-        """All events for one EPC, in time order."""
-        return list(self._index().get(epc, ()))
-
-    def by_antenna(self) -> Dict[Tuple[str, str], List[TagReadEvent]]:
-        """Events grouped by (reader_id, antenna_id)."""
-        groups: Dict[Tuple[str, str], List[TagReadEvent]] = {}
-        for e in self.events:
-            groups.setdefault((e.reader_id, e.antenna_id), []).append(e)
-        return groups
-
     def read_counts(self) -> Dict[str, int]:
         """Number of reads per EPC."""
         return {epc: len(events) for epc, events in self._index().items()}
@@ -101,69 +80,3 @@ class ReadTrace:
         """Time of the first read of ``epc``, or None if never read."""
         events = self._index().get(epc)
         return events[0].time if events else None
-
-    def window(self, start: float, end: float) -> "ReadTrace":
-        """A sub-trace restricted to ``start <= time < end``."""
-        if end < start:
-            raise ValueError(f"invalid window [{start}, {end})")
-        sub = ReadTrace()
-        for e in self.events:
-            if start <= e.time < end:
-                sub.record(e)
-        return sub
-
-    def merged_with(self, other: "ReadTrace") -> "ReadTrace":
-        """Time-ordered merge of two traces (e.g. two readers' outputs)."""
-        merged = ReadTrace()
-        merged.events = sorted(
-            list(self.events) + list(other.events), key=lambda e: e.time
-        )
-        return merged
-
-    # -- lossless JSONL round-trip ----------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One JSON line per event, in trace order.
-
-        Floats serialize in shortest-repr form, which Python's ``json``
-        parses back to the identical double — the round trip through
-        :meth:`from_jsonl` is lossless, bit for bit.
-        """
-        return "\n".join(
-            json.dumps(
-                {
-                    "time": e.time,
-                    "epc": e.epc,
-                    "reader_id": e.reader_id,
-                    "antenna_id": e.antenna_id,
-                    "rssi_dbm": e.rssi_dbm,
-                },
-                sort_keys=True,
-            )
-            for e in self.events
-        )
-
-    @classmethod
-    def from_jsonl(cls, text: Iterable[str]) -> "ReadTrace":
-        """Rebuild a trace from :meth:`to_jsonl` output.
-
-        ``text`` is a string or any iterable of lines; blank lines are
-        skipped, so files with trailing newlines load cleanly.
-        """
-        lines = text.splitlines() if isinstance(text, str) else text
-        trace = cls()
-        for line in lines:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            doc = json.loads(stripped)
-            trace.record(
-                TagReadEvent(
-                    time=doc["time"],
-                    epc=doc["epc"],
-                    reader_id=doc["reader_id"],
-                    antenna_id=doc["antenna_id"],
-                    rssi_dbm=doc["rssi_dbm"],
-                )
-            )
-        return trace

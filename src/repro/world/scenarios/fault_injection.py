@@ -495,15 +495,16 @@ def run_fault_rate_sweep(
     with the crash rate; the failover pair only loses a pass when
     *both* readers die, so its curve bends like ``1 - rate**2``.
     Returns ``{rate: (single_outcome, failover_outcome)}``; a repeated
-    rate raises :class:`ValueError`.
+    rate, or one outside [0, 1], raises :class:`ValueError` before any
+    pass runs.
     """
     if len(set(rates)) != len(rates):
         raise ValueError(f"fault rates must be distinct, got {list(rates)!r}")
-    results: Dict[float, Tuple[ConfigOutcome, ConfigOutcome]] = {}
     for rate in rates:
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"fault rate must be in [0, 1], got {rate!r}")
-
+    results: Dict[float, Tuple[ConfigOutcome, ConfigOutcome]] = {}
+    for rate in rates:
         sampled = SampledCrashPlanFactory(
             rate=rate,
             crash_fraction=crash_fraction,
@@ -511,7 +512,7 @@ def run_fault_rate_sweep(
         )
         single = _measure_config(
             single_antenna_portal(),
-            f"faults:sweep-single:rate={rate:g}",
+            f"faults:sweep-single:rate={rate!r}",
             sampled,
             placement,
             repetitions,
@@ -522,7 +523,7 @@ def run_fault_rate_sweep(
         )
         failover = _measure_config(
             failover_portal(),
-            f"faults:sweep-failover:rate={rate:g}",
+            f"faults:sweep-failover:rate={rate!r}",
             sampled,
             placement,
             repetitions,

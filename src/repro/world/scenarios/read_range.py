@@ -123,10 +123,13 @@ def run_read_range_experiment(
     Each distance seeds its trials with ``seed ^ int(distance * 1000)``;
     two distances with the same ``int(distance * 1000)`` would share a
     seed (and, if equal, one result), so such a pair raises
-    :class:`ValueError`.
+    :class:`ValueError`, as does a non-positive distance; both are
+    checked before any pass runs.
     """
     seen: Dict[int, float] = {}
     for distance in distances_m:
+        if distance <= 0.0:
+            raise ValueError(f"distance must be positive, got {distance!r}")
         key = int(distance * 1000)
         if key in seen:
             raise ValueError(

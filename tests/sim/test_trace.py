@@ -68,20 +68,6 @@ class TestReadTrace:
         assert trace.was_read("A" * 24)
         assert not trace.was_read("B" * 24)
 
-    def test_reads_of(self):
-        trace = ReadTrace()
-        trace.record(_event(1.0, epc="A" * 24))
-        trace.record(_event(2.0, epc="B" * 24))
-        trace.record(_event(3.0, epc="A" * 24))
-        assert [e.time for e in trace.reads_of("A" * 24)] == [1.0, 3.0]
-
-    def test_by_antenna(self):
-        trace = ReadTrace()
-        trace.record(_event(1.0, antenna="a0"))
-        trace.record(_event(2.0, antenna="a1"))
-        groups = trace.by_antenna()
-        assert set(groups) == {("r0", "a0"), ("r0", "a1")}
-
     def test_read_counts(self):
         trace = ReadTrace()
         for t in (1.0, 2.0, 3.0):
@@ -94,26 +80,6 @@ class TestReadTrace:
         trace.record(_event(2.5, epc="A" * 24))
         assert trace.first_read_time("A" * 24) == 1.5
         assert trace.first_read_time("B" * 24) is None
-
-    def test_window(self):
-        trace = ReadTrace()
-        for t in (0.5, 1.5, 2.5, 3.5):
-            trace.record(_event(t))
-        sub = trace.window(1.0, 3.0)
-        assert [e.time for e in sub] == [1.5, 2.5]
-
-    def test_window_invalid(self):
-        with pytest.raises(ValueError):
-            ReadTrace().window(3.0, 1.0)
-
-    def test_merged_with_sorts(self):
-        a = ReadTrace()
-        a.record(_event(1.0, reader="r0"))
-        a.record(_event(3.0, reader="r0"))
-        b = ReadTrace()
-        b.record(_event(2.0, reader="r1"))
-        merged = a.merged_with(b)
-        assert [e.time for e in merged] == [1.0, 2.0, 3.0]
 
     def test_iteration(self):
         trace = ReadTrace()
@@ -129,7 +95,7 @@ class TestEpcIndex:
         assert trace.was_read("A" * 24)
         first = trace._epc_index
         assert first is not None
-        trace.reads_of("A" * 24)
+        trace.first_read_time("A" * 24)
         assert trace._epc_index is first
 
     def test_record_invalidates_the_index(self):
@@ -147,3 +113,59 @@ class TestEpcIndex:
         fresh.record(_event(1.0))
         queried.was_read("nope")
         assert queried == fresh
+
+
+class TestTraceEdges:
+    def test_new_trace_is_empty(self):
+        trace = ReadTrace()
+        assert trace.is_empty
+        assert len(trace) == 0
+        assert trace.epcs_seen() == frozenset()
+        assert trace.read_counts() == {}
+
+    def test_equal_times_accepted(self):
+        trace = ReadTrace()
+        trace.record(_event(1.0, antenna="a0"))
+        trace.record(_event(1.0, antenna="a1"))
+        assert [e.antenna_id for e in trace] == ["a0", "a1"]
+
+    def test_rounding_sized_reversal_tolerated(self):
+        trace = ReadTrace()
+        trace.record(_event(1.0))
+        trace.record(_event(1.0 - 1e-13))
+        assert len(trace) == 2
+
+    def test_rejected_event_leaves_trace_unchanged(self):
+        trace = ReadTrace()
+        trace.record(_event(5.0))
+        with pytest.raises(ValueError):
+            trace.record(_event(4.0))
+        assert [e.time for e in trace] == [5.0]
+
+    def test_counts_sum_to_length(self):
+        trace = ReadTrace()
+        for i, epc in enumerate(["A" * 24, "B" * 24, "A" * 24, "C" * 24]):
+            trace.record(_event(float(i), epc=epc))
+        assert sum(trace.read_counts().values()) == len(trace)
+        assert set(trace.read_counts()) == trace.epcs_seen()
+
+    def test_first_read_time_survives_later_reads(self):
+        trace = ReadTrace()
+        trace.record(_event(1.0, epc="A" * 24))
+        assert trace.first_read_time("A" * 24) == 1.0
+        trace.record(_event(2.0, epc="A" * 24))
+        assert trace.first_read_time("A" * 24) == 1.0
+
+    def test_epcs_seen_is_a_snapshot(self):
+        trace = ReadTrace()
+        trace.record(_event(1.0, epc="A" * 24))
+        seen = trace.epcs_seen()
+        trace.record(_event(2.0, epc="B" * 24))
+        assert seen == frozenset({"A" * 24})
+        assert trace.epcs_seen() == frozenset({"A" * 24, "B" * 24})
+
+    def test_traces_with_different_events_differ(self):
+        a, b = ReadTrace(), ReadTrace()
+        a.record(_event(1.0))
+        b.record(_event(1.0, rssi=-61.0))
+        assert a != b

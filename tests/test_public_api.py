@@ -20,6 +20,9 @@ PACKAGES = (
     "repro.core",
     "repro.analysis",
     "repro.obs",
+    "repro.faults",
+    "repro.validate",
+    "repro.lint",
 )
 
 

@@ -17,6 +17,7 @@ from repro.faults.plan import (
     ReaderCrash,
     ReaderHang,
 )
+from repro.obs import Recorder
 from repro.reader.backend import ObjectRegistry, TrackedObject
 from repro.sim.rng import SeedSequence
 from repro.world.portal import (
@@ -226,3 +227,25 @@ class TestFaultRateSweep:
         # Accepted, a repeated rate would run twice and keep one result.
         with pytest.raises(ValueError, match="distinct"):
             run_fault_rate_sweep(rates=[0.5, 0.5], repetitions=1)
+
+    def test_close_rates_get_distinct_labels(self):
+        # Both rates print as 0.123456 at six significant digits; each
+        # point still needs its own label and its own wall-time timer.
+        recorder = Recorder()
+        results = run_fault_rate_sweep(
+            rates=(0.1234561, 0.1234562), repetitions=1, recorder=recorder
+        )
+        singles = [single.label for single, _ in results.values()]
+        assert len(set(singles)) == 2
+        for single, failover in results.values():
+            for label in (single.label, failover.label):
+                timer = recorder.metrics.timer(f"trial.wall_s[{label}]")
+                assert timer.count == 1
+
+    def test_out_of_range_rate_rejected_before_any_pass(self):
+        recorder = Recorder()
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            run_fault_rate_sweep(
+                rates=(0.5, 1.5), repetitions=1, recorder=recorder
+            )
+        assert recorder.observations == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import Recorder
 from repro.world.humans import HumanTagPlacement
 from repro.world.objects import BoxFace
 from repro.world.scenarios.human_tracking import (
@@ -95,6 +96,14 @@ class TestReadRangeScenario:
             read_range.run_read_range_experiment(
                 distances_m=distances, repetitions=1
             )
+
+    def test_experiment_rejects_bad_distance_before_any_pass(self):
+        recorder = Recorder()
+        with pytest.raises(ValueError, match="positive"):
+            read_range.run_read_range_experiment(
+                distances_m=(1.0, -1.0), repetitions=1, recorder=recorder
+            )
+        assert recorder.observations == []
 
 
 class TestOrientationSpacingScenario:
