@@ -147,6 +147,7 @@ def _finish(
             wall_time_s=wall_s,
             workers=getattr(args, "workers", None),
             started_at=_resolve_started_at(args),
+            trial_sets=recorder.trial_sets,
         )
         write_manifest(record_dir, manifest)
         count = write_events_jsonl(events_path(record_dir), recorder.events)

@@ -112,16 +112,11 @@ class CountDistribution:
 
     def quantile(self, q: float) -> float:
         """Linear-interpolated quantile of the per-trial counts."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        ordered = sorted(self.counts)
-        if len(ordered) == 1:
-            return float(ordered[0])
-        pos = q * (len(ordered) - 1)
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        # Imported here: the analysis package loads its table and figure
+        # modules, which no simulated pass needs.
+        from ..analysis.stats import quantile
+
+        return float(quantile(self.counts, q))
 
     @property
     def lower_quartile(self) -> float:

@@ -7,7 +7,9 @@ Zero-cost when disabled, structured when enabled:
 * :mod:`repro.obs.metrics` — counters, fixed-bucket histograms and
   timers, mergeable across worker processes;
 * :mod:`repro.obs.recorder` — the event bus: per-pass recording,
-  miss-cause attribution, run-level aggregation;
+  miss-cause attribution, run-level aggregation. ``Recorder()`` keeps
+  tag outcomes, masked dwells, supervision events and metrics;
+  ``Recorder(detail=True)`` adds link, slot and RNG records;
 * :mod:`repro.obs.manifest` — ``manifest.json`` provenance records;
 * :mod:`repro.obs.jsonl` — ``events.jsonl`` round-trip;
 * :mod:`repro.obs.explain` — the ``python -m repro explain`` pipeline

@@ -1,7 +1,7 @@
 """The ``python -m repro explain`` pipeline: why did this tag miss?
 
 Re-runs one pass of a catalog scene
-(:data:`repro.world.scenarios.catalog.SCENES`) with every capture flag on
+(:data:`repro.world.scenarios.catalog.SCENES`) with a detailed recorder
 (link waterfalls, slots, RNG provenance), picks a tag, and renders the
 dominant-loss story: the per-term forward link-budget waterfall of the
 best dwell the tag ever got, the attributed
@@ -171,9 +171,7 @@ def run_instrumented_pass(
     """One fully-captured pass of a catalog scene, fault plan included:
     ``(simulator, result, observation)``."""
     task = get_scene(scenario_name).build()
-    task.simulator.recorder = Recorder(
-        capture_link_budget=True, capture_slots=True, capture_rng=True
-    )
+    task.simulator.recorder = Recorder(detail=True)
     result = task(SeedSequence(seed), trial)
     return task.simulator, result, result.obs
 
@@ -257,13 +255,9 @@ def stats_payload(directory: str) -> Dict[str, Any]:
     tags_read = 0
     tags_missed = 0
     causes: Dict[str, int] = {}
-    trials = set()
     for record in records:
         doc_type = record.to_dict()["type"]
         by_type[doc_type] = by_type.get(doc_type, 0) + 1
-        trial = getattr(record, "trial", None)
-        if trial is not None:
-            trials.add(trial)
         if isinstance(record, TagOutcomeRecord):
             if record.read:
                 tags_read += 1
@@ -278,7 +272,11 @@ def stats_payload(directory: str) -> Dict[str, Any]:
         "manifest": manifest.to_dict(),
         "events": len(records),
         "events_by_type": dict(sorted(by_type.items())),
-        "trials_observed": len(trials),
+        # A manifest without trial sets cannot say how many passes ran.
+        "passes": (
+            sum(manifest.trial_sets.values()) if manifest.trial_sets else None
+        ),
+        "trial_sets": dict(manifest.trial_sets),
         "tag_outcomes": {
             "read": tags_read,
             "missed": tags_missed,
@@ -302,8 +300,13 @@ def render_stats(payload: Dict[str, Any]) -> str:
             f"  version={manifest['version']} python={manifest['python']} "
             f"config_sha256={manifest['config_sha256'][:12]}…"
         ),
-        f"events: {payload['events']} across "
-        f"{payload['trials_observed']} trials",
+        f"events: {payload['events']}"
+        + (
+            f" across {payload['passes']} passes in "
+            f"{len(payload['trial_sets'])} trial sets"
+            if payload["trial_sets"]
+            else ""
+        ),
     ]
     for doc_type, count in payload["events_by_type"].items():
         lines.append(f"  {doc_type:<13s} {count}")

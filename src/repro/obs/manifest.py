@@ -15,7 +15,7 @@ import json
 import os
 import platform as _platform
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 MANIFEST_FILENAME = "manifest.json"
@@ -49,6 +49,9 @@ class RunManifest:
     started_at: str
     wall_time_s: float
     workers: Optional[int] = None
+    #: Passes run per trial-set label. Not part of ``config_sha256``;
+    #: empty in manifests written before it existed.
+    trial_sets: Dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def create(
@@ -59,6 +62,7 @@ class RunManifest:
         wall_time_s: float,
         workers: Optional[int] = None,
         started_at: Optional[str] = None,
+        trial_sets: Optional[Dict[str, int]] = None,
     ) -> "RunManifest":
         """Build a manifest, stamping version/platform and the hash.
 
@@ -85,6 +89,7 @@ class RunManifest:
             started_at=started_at,
             wall_time_s=wall_time_s,
             workers=workers,
+            trial_sets=dict(trial_sets or {}),
         )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -8,9 +8,8 @@ layer (think statsd/Prometheus) rather than a statistics library:
 * **histograms** use *fixed* bucket edges declared at creation time, so
   two registries — from two worker processes, or two machines — can be
   merged bucket-by-bucket without resampling;
-* everything round-trips through plain dicts (``to_dict`` /
-  ``from_dict``), which is how worker processes hand their registries
-  back to the parent: serialized with the results, no shared state.
+* a registry pickles as is, which is how worker processes hand their
+  registries back to the parent: inside the results, no shared state.
 
 Exact quantiles over small samples (per-trial wall times, a few dozen
 values) are computed by :func:`percentile` on the raw values instead of
@@ -76,9 +75,6 @@ class Counter:
 
     def merge(self, other: "Counter") -> None:
         self.value += other.value
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "counter", "value": self.value}
 
 
 @dataclass
@@ -147,17 +143,6 @@ class Histogram:
             if bound is not None:
                 self.max = bound if self.max is None else max(self.max, bound)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": "histogram",
-            "edges": list(self.edges),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-
 
 @dataclass
 class Timer:
@@ -193,9 +178,6 @@ class Timer:
     def merge(self, other: "Timer") -> None:
         self.samples.extend(other.samples)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": "timer", "samples": list(self.samples)}
-
 
 class _TimerContext:
     def __init__(self, timer: Timer) -> None:
@@ -216,11 +198,18 @@ class MetricsRegistry:
     Re-declaring a name returns the existing metric (histogram edges
     must match), so call sites do not need to coordinate creation
     order. Worker processes never share a registry: each builds its
-    own, serializes it with :meth:`to_dict`, and the parent merges.
+    own, ships it pickled inside its results, and the parent merges.
+    Two registries are equal when they hold equal metrics under the
+    same names, whatever order the names were declared in.
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Any] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MetricsRegistry):
+            return NotImplemented
+        return self._metrics == other._metrics
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -287,34 +276,6 @@ class MetricsRegistry:
         """Fold a plain name->count mapping into the counters."""
         for name, value in counts.items():
             self.counter(name).inc(value)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            name: metric.to_dict()
-            for name, metric in sorted(self._metrics.items())
-        }
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        for name, entry in doc.items():
-            kind = entry.get("kind")
-            if kind == "counter":
-                registry.counter(name).inc(int(entry["value"]))
-            elif kind == "histogram":
-                hist = registry.histogram(name, tuple(entry["edges"]))
-                hist.counts = [int(c) for c in entry["counts"]]
-                hist.total = int(entry["total"])
-                hist.sum = float(entry["sum"])
-                hist.min = entry["min"]
-                hist.max = entry["max"]
-            elif kind == "timer":
-                timer = registry.timer(name)
-                for sample in entry["samples"]:
-                    timer.observe_s(float(sample))
-            else:
-                raise MetricsError(f"unknown metric kind {kind!r} for {name!r}")
-        return registry
 
 
 def summarise_timer(samples: Iterable[float]) -> Dict[str, Optional[float]]:

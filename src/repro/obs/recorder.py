@@ -3,10 +3,12 @@
 Three objects split the work so that the hot path stays allocation-free
 when observability is off:
 
-* :class:`Recorder` — the run-level handle an experiment owns. It is
-  *configuration plus aggregation*: which record kinds to capture, the
-  merged :class:`~repro.obs.metrics.MetricsRegistry`, the accumulated
-  event list. A simulator holding ``recorder=None`` pays exactly one
+* :class:`Recorder` — the run-level handle an experiment owns: one
+  switch (``detail``) plus the run's aggregate, the absorbed
+  observations and their merged
+  :class:`~repro.obs.metrics.MetricsRegistry`. The aggregate never
+  leaves the process that owns it: a recorder pickles as its switch
+  alone. A simulator holding ``recorder=None`` pays exactly one
   ``is not None`` test per potential hook site and allocates nothing.
 * :class:`PassRecording` — the per-pass accumulator the simulator
   drives. One is created per :meth:`run_pass` call; it never crosses a
@@ -16,6 +18,11 @@ when observability is off:
   workers ship their observations home: **with the results**, not
   through shared state. Everything in it is a pure function of the
   seeds, so serial and parallel runs produce identical observations.
+
+Every recorded pass keeps its tag outcomes, masked dwells, supervision
+events and metrics. ``detail=True`` adds the per-dwell link records
+(at most :data:`MAX_LINK_RECORDS_PER_PASS`), the slot records and the
+RNG provenance.
 
 Miss-cause attribution (:meth:`PassRecording.finalize`) assigns exactly
 one :class:`~repro.obs.records.MissCause` to every tag that produced no
@@ -53,6 +60,10 @@ from .records import (
     TagOutcomeRecord,
 )
 
+#: Link records one detailed pass keeps; the rest are only counted
+#: (``PassObservation.truncated_link_records``).
+MAX_LINK_RECORDS_PER_PASS = 20000
+
 
 class _TagAggregate:
     """Per-tag rollup of everything seen during one pass (hot path)."""
@@ -86,9 +97,9 @@ class PassObservation:
 
     trial: int
     tag_outcomes: Tuple[TagOutcomeRecord, ...]
-    #: ``MetricsRegistry.to_dict()`` of the per-pass counters and
-    #: margin histograms; merged into the run registry on absorb.
-    metrics: Dict[str, Any]
+    #: The per-pass counters and margin histograms; merged into the
+    #: run registry on absorb.
+    metrics: MetricsRegistry
     link_records: Tuple[DwellLinkRecord, ...] = ()
     slot_records: Tuple[SlotRecord, ...] = ()
     masked_dwells: Tuple[MaskedDwellRecord, ...] = ()
@@ -130,8 +141,8 @@ class PassObservation:
 class PassRecording:
     """Mutable per-pass sink the simulator's hooks write into."""
 
-    def __init__(self, recorder: "Recorder", trial: int) -> None:
-        self._recorder = recorder
+    def __init__(self, detail: bool, trial: int) -> None:
+        self.detail = detail
         self.trial = trial
         self._aggregates: Dict[str, _TagAggregate] = {}
         self._metrics = MetricsRegistry()
@@ -191,8 +202,8 @@ class PassRecording:
                 self._forward_hist.observe(record.forward_margin_db)
             if record.reverse_margin_db is not None:
                 self._reverse_hist.observe(record.reverse_margin_db)
-        if self._recorder.capture_link_budget:
-            if len(self._link_records) < self._recorder.max_records_per_pass:
+        if self.detail:
+            if len(self._link_records) < MAX_LINK_RECORDS_PER_PASS:
                 self._link_records.append(record)
             else:
                 self._truncated += 1
@@ -222,7 +233,7 @@ class PassRecording:
             self._metrics.counter("pass.success_slots").inc()
         else:
             self._metrics.counter("pass.empty_slots").inc()
-        if self._recorder.capture_slots:
+        if self.detail:
             self._slot_records.append(
                 SlotRecord(
                     time=time,
@@ -260,10 +271,7 @@ class PassRecording:
         self._metrics.counter("pass.rounds").inc()
 
     def rng_stream(self, name: str, seed: int) -> None:
-        if self._recorder.capture_rng:
-            self._rng.append(
-                RngStreamRecord(trial=self.trial, name=name, seed=seed)
-            )
+        self._rng.append(RngStreamRecord(trial=self.trial, name=name, seed=seed))
 
     # -- attribution -------------------------------------------------------
 
@@ -317,7 +325,7 @@ class PassRecording:
         return PassObservation(
             trial=self.trial,
             tag_outcomes=tuple(outcomes),
-            metrics=self._metrics.to_dict(),
+            metrics=self._metrics,
             link_records=tuple(self._link_records),
             slot_records=tuple(self._slot_records),
             masked_dwells=tuple(self._masked),
@@ -358,9 +366,9 @@ class PassRecording:
 class TracingSeedSequence(SeedSequence):
     """A :class:`~repro.sim.rng.SeedSequence` that logs every derivation.
 
-    Wraps the root seed of a pass when ``capture_rng`` is on: each named
-    stream handed out is reported (once — re-derivations of the same
-    name are deduplicated) to the pass recording as an
+    Wraps the root seed of a detailed pass: each named stream handed
+    out is reported (once — re-derivations of the same name are
+    deduplicated) to the pass recording as an
     :class:`~repro.obs.records.RngStreamRecord`. Derivation itself is
     untouched, so the streams — and therefore the run — are bit-identical
     with tracing on or off.
@@ -388,56 +396,57 @@ class TracingSeedSequence(SeedSequence):
 
 
 class Recorder:
-    """Run-level observability handle: capture config + aggregation.
+    """Run-level observability handle: one switch plus the run aggregate.
 
     Hand one to a :class:`~repro.world.simulation.PortalPassSimulator`
-    (or a scenario entry point) to turn recording on. The instance is
-    picklable — worker processes carry only its *configuration*; their
-    observations come back inside each ``PassResult`` and are folded in
-    by :meth:`absorb_trial_set` in the parent process.
+    (or a scenario entry point) to turn recording on; ``detail=True``
+    also captures link, slot and RNG records. A recorder pickles as its
+    switch alone, so worker processes get an empty recorder with the
+    same ``detail``; their observations come back inside each
+    ``PassResult`` and are folded in by :meth:`absorb_trial_set` in the
+    parent process. :func:`copy.copy` and :func:`copy.deepcopy` go
+    through the same path, so they too return an empty recorder with
+    the same ``detail``: read a finished run from the recorder itself.
     """
 
-    def __init__(
-        self,
-        capture_link_budget: bool = False,
-        capture_slots: bool = False,
-        capture_rng: bool = False,
-        max_records_per_pass: int = 20000,
-    ) -> None:
-        if max_records_per_pass < 0:
-            raise ValueError(
-                f"max_records_per_pass must be >= 0, got {max_records_per_pass!r}"
-            )
-        self.capture_link_budget = capture_link_budget
-        self.capture_slots = capture_slots
-        self.capture_rng = capture_rng
-        self.max_records_per_pass = max_records_per_pass
+    def __init__(self, detail: bool = False) -> None:
+        self.detail = detail
         self.metrics = MetricsRegistry()
-        self.events: List[Any] = []
         self.observations: List[PassObservation] = []
+        #: Passes absorbed per trial-set label, in absorption order.
+        self.trial_sets: Dict[str, int] = {}
+
+    def __reduce__(self) -> Tuple[type, Tuple[bool]]:
+        return (Recorder, (self.detail,))
 
     def begin_pass(self, trial: int) -> PassRecording:
-        return PassRecording(self, trial)
+        return PassRecording(self.detail, trial)
+
+    @property
+    def events(self) -> List[Any]:
+        """Every absorbed pass's records, in absorption order."""
+        return [rec for obs in self.observations for rec in obs.records()]
 
     # -- aggregation (parent process only) ---------------------------------
 
     def absorb_observation(self, observation: PassObservation) -> None:
         """Fold one pass's observation into the run totals."""
-        self.metrics.merge(MetricsRegistry.from_dict(observation.metrics))
+        self.metrics.merge(observation.metrics)
         self.observations.append(observation)
-        self.events.extend(observation.records())
 
     def absorb_trial_set(self, label: str, trial_set: Any) -> None:
         """Fold a :class:`~repro.core.experiment.TrialSet` in.
 
         Collects ``PassResult.obs`` observations (however the trials
-        were executed — the worker registries arrive serialized inside
-        the outcomes) and the per-trial wall times.
+        were executed — worker registries arrive pickled inside the
+        outcomes), the per-trial wall times and the set's pass count.
         """
-        for outcome in getattr(trial_set, "outcomes", []):
+        outcomes = getattr(trial_set, "outcomes", [])
+        for outcome in outcomes:
             observation = getattr(outcome, "obs", None)
             if observation is not None:
                 self.absorb_observation(observation)
+        self.trial_sets[label] = self.trial_sets.get(label, 0) + len(outcomes)
         for seconds in getattr(trial_set, "trial_seconds", []):
             self.metrics.timer("trial.wall_s").observe_s(seconds)
             self.metrics.timer(f"trial.wall_s[{label}]").observe_s(seconds)

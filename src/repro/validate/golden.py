@@ -60,9 +60,7 @@ def compute_golden_doc(scene: Scene) -> Dict[str, Any]:
     """Run a catalog scene fully instrumented and reduce it to its
     digest document."""
     task = scene.build()
-    task.simulator.recorder = Recorder(
-        capture_link_budget=True, capture_slots=True, capture_rng=True
-    )
+    task.simulator.recorder = Recorder(detail=True)
     lines: List[str] = []
     tags_read: List[int] = []
     rounds: List[int] = []

@@ -29,7 +29,6 @@ from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
 from ...core.reliability import ReliabilityEstimate
 from ...faults import FaultPlan, FaultyTransport, ReaderCrash
-from ...obs.metrics import MetricsRegistry
 from ...obs.recorder import PassObservation, Recorder
 from ...obs.records import SupervisorRecord
 from ...reader.backend import ObjectRegistry, TrackedObject, TrackingBackend
@@ -75,46 +74,20 @@ PlanFactory = Callable[[SeedSequence, int, float], Optional[FaultPlan]]
 
 
 @dataclass(frozen=True)
-class NoFaultPlanFactory:
-    """Picklable plan factory for the fault-free baseline cells."""
+class CrashPlanFactory:
+    """Picklable plan factory: each listed reader crashes with probability
+    ``rate``, at the canonical :func:`primary_crash_plan` timing.
 
-    def __call__(
-        self, seeds: SeedSequence, trial: int, duration: float
-    ) -> Optional[FaultPlan]:
-        return None
-
-
-@dataclass(frozen=True)
-class PrimaryCrashPlanFactory:
-    """Picklable plan factory: the canonical primary crash every trial."""
-
-    crash_fraction: float = DEFAULT_CRASH_FRACTION
-    restart_after_s: Optional[float] = DEFAULT_WATCHDOG_RESTART_S
-    reader_id: str = "reader-0"
-
-    def __call__(
-        self, seeds: SeedSequence, trial: int, duration: float
-    ) -> Optional[FaultPlan]:
-        return primary_crash_plan(
-            duration,
-            self.crash_fraction,
-            self.restart_after_s,
-            reader_id=self.reader_id,
-        )
-
-
-@dataclass(frozen=True)
-class SampledCrashPlanFactory:
-    """Picklable plan factory: each reader crashes with probability ``rate``.
-
-    Crash decisions come from a named per-trial stream, so a sweep
-    replays bit-for-bit from its seed regardless of worker count.
+    Rate 0 is the fault-free baseline; any other rate draws each crash
+    decision from a named per-trial stream, in ``reader_ids`` order, so
+    a sweep replays bit-for-bit from its seed regardless of worker
+    count (rate 1 crashes every listed reader).
     """
 
     rate: float
+    reader_ids: Tuple[str, ...] = ("reader-0",)
     crash_fraction: float = DEFAULT_CRASH_FRACTION
     restart_after_s: Optional[float] = DEFAULT_WATCHDOG_RESTART_S
-    reader_ids: Tuple[str, ...] = ("reader-0", "reader-1")
 
     def __call__(
         self, seeds: SeedSequence, trial: int, duration: float
@@ -122,20 +95,25 @@ class SampledCrashPlanFactory:
         if self.rate == 0.0:
             return None
         stream = seeds.trial_stream(f"faultplan:rate={self.rate!r}", trial)
-        crashes = []
-        for reader_id in self.reader_ids:
-            if stream.bernoulli(self.rate):
-                crashes.extend(
-                    primary_crash_plan(
-                        duration,
-                        self.crash_fraction,
-                        self.restart_after_s,
-                        reader_id=reader_id,
-                    ).crashes
-                )
-        if not crashes:
+        crashed = tuple(
+            reader_id
+            for reader_id in self.reader_ids
+            if stream.bernoulli(self.rate)
+        )
+        if not crashed:
             return None
-        return FaultPlan(crashes=tuple(crashes))
+        return FaultPlan(
+            crashes=tuple(
+                crash
+                for reader_id in crashed
+                for crash in primary_crash_plan(
+                    duration,
+                    self.crash_fraction,
+                    self.restart_after_s,
+                    reader_id=reader_id,
+                ).crashes
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -324,13 +302,13 @@ def run_supervised_pass(
 
     observation = result.obs
     if observation is not None and sup_records:
-        merged = MetricsRegistry.from_dict(observation.metrics)
-        merged.counter("pass.supervisor_events").inc(len(sup_records))
+        observation.metrics.counter("pass.supervisor_events").inc(
+            len(sup_records)
+        )
         observation = replace(
             observation,
             supervisor_records=observation.supervisor_records
             + tuple(sup_records),
-            metrics=merged.to_dict(),
         )
 
     return SupervisedTrialOutcome(
@@ -351,7 +329,7 @@ class SupervisedPassTask:
 
     The parallel-capable counterpart of the per-cell closure around
     :func:`run_supervised_pass` — every field is a plain dataclass (the
-    plan factories above replace the original lambdas), so the whole
+    plan factory above replaces the original lambdas), so the whole
     cell ships to worker processes and fans out with bit-identical
     outcomes.
     """
@@ -446,9 +424,11 @@ def run_fault_injection_experiment(
     running its own Gen 2 session so the standby's inventory survives
     the primary's death.
     """
-    no_faults: PlanFactory = NoFaultPlanFactory()
-    crash: PlanFactory = PrimaryCrashPlanFactory(
-        crash_fraction=crash_fraction, restart_after_s=restart_after_s
+    no_faults = CrashPlanFactory(rate=0.0)
+    crash = CrashPlanFactory(
+        rate=1.0,
+        crash_fraction=crash_fraction,
+        restart_after_s=restart_after_s,
     )
     single = single_antenna_portal()
     pair = failover_portal()
@@ -505,32 +485,27 @@ def run_fault_rate_sweep(
             raise ValueError(f"fault rate must be in [0, 1], got {rate!r}")
     results: Dict[float, Tuple[ConfigOutcome, ConfigOutcome]] = {}
     for rate in rates:
-        sampled = SampledCrashPlanFactory(
-            rate=rate,
-            crash_fraction=crash_fraction,
-            restart_after_s=restart_after_s,
-        )
-        single = _measure_config(
-            single_antenna_portal(),
-            f"faults:sweep-single:rate={rate!r}",
-            sampled,
-            placement,
-            repetitions,
-            seed,
-            stream_label="faults:single",
-            workers=workers,
-            recorder=recorder,
-        )
-        failover = _measure_config(
-            failover_portal(),
-            f"faults:sweep-failover:rate={rate!r}",
-            sampled,
-            placement,
-            repetitions,
-            seed,
-            stream_label="faults:failover",
-            workers=workers,
-            recorder=recorder,
+        single, failover = (
+            _measure_config(
+                portal,
+                f"faults:sweep-{name}:rate={rate!r}",
+                CrashPlanFactory(
+                    rate=rate,
+                    reader_ids=tuple(r.reader_id for r in portal.readers),
+                    crash_fraction=crash_fraction,
+                    restart_after_s=restart_after_s,
+                ),
+                placement,
+                repetitions,
+                seed,
+                stream_label=f"faults:{name}",
+                workers=workers,
+                recorder=recorder,
+            )
+            for name, portal in (
+                ("single", single_antenna_portal()),
+                ("failover", failover_portal()),
+            )
         )
         results[rate] = (single, failover)
     return results

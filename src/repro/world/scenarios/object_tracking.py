@@ -27,7 +27,7 @@ from ...protocol.epc import EpcFactory
 from ..motion import LinearPass
 from ..objects import BoxFace, TaggedBox, cart_of_boxes
 from ..portal import dual_antenna_portal, single_antenna_portal
-from ..simulation import CarrierGroup, Occluder, PortalPassSimulator
+from ..simulation import CarrierGroup, Occluder
 
 PAPER_BOX_COUNT = 12
 PAPER_REPETITIONS = 12
@@ -121,7 +121,6 @@ def run_table1_experiment(
     locations: Sequence[BoxFace] = TABLE1_LOCATIONS,
     repetitions: int = PAPER_REPETITIONS,
     seed: int = DEFAULT_SEED,
-    simulator: Optional[PortalPassSimulator] = None,
     workers: Optional[int] = None,
     recorder: Optional[Recorder] = None,
 ) -> Dict[BoxFace, ReliabilityEstimate]:
@@ -130,13 +129,10 @@ def run_table1_experiment(
     Each location is measured in its own run (as the paper did: "We
     performed this experiment for different tag locations"), one tag
     per box, 12 boxes x 12 repetitions = 144 Bernoulli trials per row.
-    ``recorder`` turns observability on for every pass (on a copy of
-    ``simulator``, which is left as it was); results are bit-identical
-    with or without it.
+    ``recorder`` turns observability on for every pass; results are
+    bit-identical with or without it.
     """
-    sim = simulator or PaperSetup().simulator(single_antenna_portal())
-    if recorder is not None:
-        sim = sim.with_recorder(recorder)
+    sim = PaperSetup().simulator(single_antenna_portal(), recorder)
     results: Dict[BoxFace, ReliabilityEstimate] = {}
     for face in locations:
         carrier, boxes = build_box_cart([face])

@@ -21,7 +21,7 @@ from ...protocol.epc import EpcFactory
 from ...rf.geometry import Vec3
 from ..motion import StationaryPlacement
 from ..portal import single_antenna_portal
-from ..simulation import CarrierGroup, PortalPassSimulator
+from ..simulation import CarrierGroup
 from ..tags import Tag, TagOrientation
 
 #: The paper's grid: 20 tags, 5 columns x 4 rows.
@@ -109,16 +109,14 @@ def run_read_range_experiment(
     distances_m: Sequence[float] = PAPER_DISTANCES_M,
     repetitions: int = PAPER_REPETITIONS,
     seed: int = DEFAULT_SEED,
-    simulator: Optional[PortalPassSimulator] = None,
     workers: Optional[int] = None,
     recorder: Optional[Recorder] = None,
 ) -> Dict[float, ReadRangePoint]:
     """Reproduce Figure 2: mean (and quartiles) of tags read per distance.
 
-    ``recorder``, when given, records every pass (on a copy of
-    ``simulator``, which is left as it was) and absorbs each distance's
-    trial set (observations plus per-trial wall times) — recording
-    never perturbs the results.
+    ``recorder``, when given, records every pass and absorbs each
+    distance's trial set (observations plus per-trial wall times) —
+    recording never perturbs the results.
 
     Each distance seeds its trials with ``seed ^ int(distance * 1000)``;
     two distances with the same ``int(distance * 1000)`` would share a
@@ -137,9 +135,7 @@ def run_read_range_experiment(
                 f"seed offset int(distance * 1000) = {key}"
             )
         seen[key] = distance
-    sim = simulator or PaperSetup().simulator(single_antenna_portal())
-    if recorder is not None:
-        sim = sim.with_recorder(recorder)
+    sim = PaperSetup().simulator(single_antenna_portal(), recorder)
     results: Dict[float, ReadRangePoint] = {}
     for distance in distances_m:
         carrier = _shared_tag_plane(distance)

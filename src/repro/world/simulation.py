@@ -526,21 +526,6 @@ class PortalPassSimulator:
         #: ``None`` before the first pass or when the cache is disabled.
         self._last_cache_stats: Optional[Dict[str, int]] = None
 
-    def with_recorder(self, recorder: Recorder) -> "PortalPassSimulator":
-        """A copy of this simulator that records into ``recorder``.
-
-        Same portal, link model, timing and cache setting, so its passes
-        are this simulator's passes; ``self`` is left untouched.
-        """
-        return PortalPassSimulator(
-            portal=self.portal,
-            env=self.env,
-            params=self.params,
-            timing=self.timing,
-            use_link_cache=self.use_link_cache,
-            recorder=recorder,
-        )
-
     # -- physics ---------------------------------------------------------
 
     def _obstruction_db(
@@ -979,7 +964,7 @@ class PortalPassSimulator:
         rec: Optional[PassRecording] = None
         if self.recorder is not None:
             rec = self.recorder.begin_pass(trial)
-            if self.recorder.capture_rng:
+            if self.recorder.detail:
                 # Same derivations, same seeds — just logged. The traced
                 # wrapper never perturbs a draw.
                 seeds = TracingSeedSequence(seeds.root_seed, rec)

@@ -100,6 +100,24 @@ class TestRecordAndStats:
         assert payload["recording"]["directory"] == directory
         assert payload["recording"]["events"] > 0
 
+    def test_stats_counts_passes_across_trial_sets(self, tmp_path):
+        """Every trial set reuses trial indices 0..reps-1, so passes are
+        counted per trial set, not as distinct trial indices."""
+        directory = str(tmp_path / "sweep")
+        code, _ = _run(
+            ["faults", "--sweep", "--reps", "2", "--record", directory]
+        )
+        assert code == 0
+        code, output = _run(["stats", directory, "--json"])
+        assert code == 0
+        payload = json.loads(output)
+        # 5 rates x 2 portals, 2 repetitions each.
+        assert payload["passes"] == 20
+        assert len(payload["trial_sets"]) == 10
+        assert set(payload["trial_sets"].values()) == {2}
+        code, output = _run(["stats", directory])
+        assert "across 20 passes in 10 trial sets" in output
+
     def test_stats_on_missing_directory_exits_one(self, tmp_path):
         code, _ = _run(["stats", str(tmp_path / "nope")])
         assert code == 1

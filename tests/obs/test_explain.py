@@ -99,12 +99,17 @@ class TestStats:
         assert payload["events_by_type"].get("tag") == 1
         outcomes = payload["tag_outcomes"]
         assert outcomes["read"] + outcomes["missed"] == 1
+        # This manifest lists no trial sets: the pass count is unknown.
+        assert payload["trial_sets"] == {}
+        assert payload["passes"] is None
 
     def test_render_stats(self, tmp_path):
         directory = self._record_run(tmp_path)
         text = render_stats(stats_payload(directory))
         assert "recorded run" in text
         assert "seed=7" in text
+        # This manifest lists no trial sets, so no pass count is claimed.
+        assert "across" not in text
 
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -92,6 +92,16 @@ class TestRunManifest:
         doc = json.loads(json.dumps(manifest.to_dict()))
         assert RunManifest.from_dict(doc) == manifest
 
+    def test_trial_sets_recorded_outside_the_config_hash(self):
+        manifest = _manifest(trial_sets={"faults:single-clean": 2})
+        assert manifest.trial_sets == {"faults:single-clean": 2}
+        assert manifest.config_sha256 == _manifest().config_sha256
+
+    def test_manifest_without_trial_sets_loads(self):
+        doc = _manifest().to_dict()
+        del doc["trial_sets"]
+        assert RunManifest.from_dict(doc).trial_sets == {}
+
     def test_unknown_field_rejected(self):
         doc = dict(_manifest().to_dict(), extra=1)
         with pytest.raises(TypeError):

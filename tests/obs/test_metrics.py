@@ -1,5 +1,7 @@
 """Tests for the metrics registry: counters, histograms, timers."""
 
+import pickle
+
 import pytest
 
 from repro.obs.metrics import (
@@ -131,13 +133,22 @@ class TestRegistry:
         assert parent.histogram("margin", (0.0,)).total == 1
         assert parent.timer("wall").count == 1
 
-    def test_dict_round_trip(self):
+    def test_pickle_round_trip(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(5)
         reg.histogram("h", (0.0, 1.0)).observe(0.5)
         reg.timer("t").observe_s(0.25)
-        rebuilt = MetricsRegistry.from_dict(reg.to_dict())
-        assert rebuilt.to_dict() == reg.to_dict()
+        assert pickle.loads(pickle.dumps(reg)) == reg
+
+    def test_equality_ignores_declaration_order(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter("x").inc()
+        a.counter("y")
+        b.counter("y")
+        b.counter("x").inc()
+        assert a == b
+        b.counter("x").inc()
+        assert a != b
 
     def test_merge_counts(self):
         reg = MetricsRegistry()

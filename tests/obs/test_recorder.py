@@ -1,5 +1,6 @@
 """Recorder behaviour: zero-cost off, non-perturbation, aggregation."""
 
+import copy
 import pickle
 
 import pytest
@@ -8,6 +9,7 @@ from repro.core.calibration import PaperSetup
 from repro.core.experiment import run_trials
 from repro.core.parallel import PassTrialTask
 from repro.obs import Recorder, TracingSeedSequence
+from repro.obs import recorder as recorder_module
 from repro.protocol.epc import EpcFactory
 from repro.rf.geometry import Vec3
 from repro.sim.rng import SeedSequence
@@ -63,9 +65,7 @@ class TestNonPerturbation:
         recording on (even at full capture) or off."""
         carrier = _carrier(moving=True)
         plain = _sim().run_pass([carrier], SeedSequence(9), 2)
-        recorder = Recorder(
-            capture_link_budget=True, capture_slots=True, capture_rng=True
-        )
+        recorder = Recorder(detail=True)
         recorded = _sim(recorder).run_pass([carrier], SeedSequence(9), 2)
         assert recorded.read_epcs == plain.read_epcs
         assert [e.time for e in recorded.trace] == [
@@ -74,7 +74,7 @@ class TestNonPerturbation:
         assert recorded.rounds == plain.rounds
 
     def test_tracing_seeds_are_the_plain_seeds(self):
-        recorder = Recorder(capture_rng=True)
+        recorder = Recorder(detail=True)
         recording = recorder.begin_pass(0)
         traced = TracingSeedSequence(5, recording)
         plain = SeedSequence(5)
@@ -84,7 +84,7 @@ class TestNonPerturbation:
         )
 
     def test_tracing_dedupes_rederivations(self):
-        recorder = Recorder(capture_rng=True)
+        recorder = Recorder(detail=True)
         recording = recorder.begin_pass(0)
         traced = TracingSeedSequence(5, recording)
         traced.stream("x")
@@ -98,13 +98,38 @@ class TestNonPerturbation:
 
 class TestObservation:
     def test_observation_pickles(self):
-        recorder = Recorder(capture_link_budget=True, capture_slots=True)
+        recorder = Recorder(detail=True)
         result = _sim(recorder).run_pass([_carrier()], SeedSequence(3), 0)
         clone = pickle.loads(pickle.dumps(result.obs))
         assert clone == result.obs
 
-    def test_link_record_cap_truncates(self):
-        recorder = Recorder(capture_link_budget=True, max_records_per_pass=5)
+    @pytest.mark.parametrize("detail", [False, True])
+    def test_recorder_pickles_as_its_switch_alone(self, detail):
+        """A recorder rides inside every trial task's simulator, so what
+        it has absorbed must not ship to workers with later tasks."""
+        recorder = Recorder(detail=detail)
+        trial_set = run_trials(
+            "obs-pickle",
+            PassTrialTask(simulator=_sim(recorder), carriers=(_carrier(),)),
+            2,
+            seed=17,
+        )
+        recorder.absorb_trial_set("obs-pickle", trial_set)
+        assert len(recorder.observations) == 2
+        assert pickle.dumps(recorder) == pickle.dumps(Recorder(detail=detail))
+        clone = pickle.loads(pickle.dumps(recorder))
+        assert clone.detail is detail
+        assert clone.observations == []
+        assert clone.events == []
+        # Copies take the same path: an empty recorder, same switch.
+        for copied in (copy.copy(recorder), copy.deepcopy(recorder)):
+            assert copied.detail is detail
+            assert copied.observations == []
+            assert copied.trial_sets == {}
+
+    def test_link_record_cap_truncates(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "MAX_LINK_RECORDS_PER_PASS", 5)
+        recorder = Recorder(detail=True)
         far = CarrierGroup(
             motion=StationaryPlacement(Vec3(0.0, 0.0, 30.0), duration_s=2.0),
             tags=_carrier().tags,
@@ -118,7 +143,7 @@ class TestObservation:
         recorded forward power exactly — the explain-pipeline invariant."""
         from repro.obs.explain import record_waterfall
 
-        recorder = Recorder(capture_link_budget=True)
+        recorder = Recorder(detail=True)
         result = _sim(recorder).run_pass([_carrier()], SeedSequence(3), 0)
         checked = 0
         for record in result.obs.link_records:
@@ -146,7 +171,10 @@ class TestAggregation:
         assert recorder.metrics.timer("trial.wall_s").count == 3
         assert recorder.metrics.timer("trial.wall_s[obs-test]").count == 3
         assert recorder.metrics.counter("pass.rounds").value > 0
-        assert recorder.events  # tag outcomes at minimum
+        assert recorder.trial_sets == {"obs-test": 3}
+        assert recorder.events == [
+            rec for obs in trial_set.outcomes for rec in obs.obs.records()
+        ]
 
     def test_miss_cause_counts_match_observations(self):
         recorder = Recorder()
@@ -162,26 +190,6 @@ class TestAggregation:
         counts = recorder.miss_cause_counts()
         assert sum(counts.values()) == 2
         assert counts.get("out_of_zone") == 2
-
-
-class TestEntryPointsLeaveTheCallersSimulator:
-    def test_recording_a_run_does_not_attach_the_recorder(self):
-        """An entry point records on a copy: the simulator handed in
-        stays unrecorded, so a later unrelated pass carries no obs."""
-        sim = _sim()
-        recorder = Recorder()
-        run_read_range_experiment(
-            distances_m=[3.0], repetitions=1, simulator=sim,
-            workers=1, recorder=recorder,
-        )
-        assert sim.recorder is None
-        run_table1_experiment(
-            locations=[BoxFace.FRONT], repetitions=1, simulator=sim,
-            workers=1, recorder=recorder,
-        )
-        assert sim.recorder is None
-        assert len(recorder.observations) == 2
-        assert sim.run_pass([_carrier()], SeedSequence(3), 0).obs is None
 
 
 #: (entry point, keyword arguments, passes it runs at repetitions=1).
@@ -215,4 +223,5 @@ class TestEachTrialSetAbsorbedOnce:
         recorder = Recorder()
         run(repetitions=1, seed=11, workers=workers, recorder=recorder, **kwargs)
         assert len(recorder.observations) == passes
+        assert sum(recorder.trial_sets.values()) == passes
         assert recorder.metrics.timer("trial.wall_s").count == passes

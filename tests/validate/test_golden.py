@@ -34,9 +34,7 @@ SMALL = "tag-plane-3m"
 def _scenario_record_lines(scene):
     """The exact canonical JSONL lines ``compute_golden_doc`` digests."""
     task = scene.build()
-    task.simulator.recorder = Recorder(
-        capture_link_budget=True, capture_slots=True, capture_rng=True
-    )
+    task.simulator.recorder = Recorder(detail=True)
     lines = []
     for trial in range(scene.trials):
         result = task(SeedSequence(GOLDEN_SEED), trial)

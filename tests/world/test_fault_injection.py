@@ -28,6 +28,7 @@ from repro.world.portal import (
     single_antenna_portal,
 )
 from repro.world.scenarios.fault_injection import (
+    CrashPlanFactory,
     primary_crash_plan,
     run_fault_rate_sweep,
     run_supervised_pass,
@@ -220,6 +221,45 @@ class TestBlindMissNeverConfidentAbsent:
         assert not outcome.degraded
         assert outcome.verdict == "absent"
         assert outcome.coverage == 1.0
+
+
+class _NoStreams(SeedSequence):
+    def trial_stream(self, name, trial_index):
+        raise AssertionError(f"derived stream {name!r}")
+
+
+class TestCrashPlanFactory:
+    READERS = ("reader-0", "reader-1")
+
+    def test_rate_zero_is_no_plan(self):
+        factory = CrashPlanFactory(rate=0.0, reader_ids=self.READERS)
+        assert factory(_NoStreams(SEED), 0, 4.0) is None
+
+    def test_rate_one_crashes_every_listed_reader(self):
+        factory = CrashPlanFactory(rate=1.0, reader_ids=self.READERS)
+        plan = factory(SeedSequence(SEED), 0, 4.0)
+        assert plan.crashes == tuple(
+            crash
+            for reader_id in self.READERS
+            for crash in primary_crash_plan(4.0, reader_id=reader_id).crashes
+        )
+
+    def test_default_is_the_primary_crash(self):
+        plan = CrashPlanFactory(rate=1.0)(SeedSequence(SEED), 0, 4.0)
+        assert plan == primary_crash_plan(4.0)
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_sampled_rate_draws_each_reader_in_order(self, trial):
+        seeds = SeedSequence(SEED)
+        plan = CrashPlanFactory(rate=0.5, reader_ids=self.READERS)(
+            seeds, trial, 4.0
+        )
+        stream = seeds.trial_stream("faultplan:rate=0.5", trial)
+        crashed = [r for r in self.READERS if stream.bernoulli(0.5)]
+        if not crashed:
+            assert plan is None
+        else:
+            assert [c.reader_id for c in plan.crashes] == crashed
 
 
 class TestFaultRateSweep:

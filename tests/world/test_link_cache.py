@@ -212,7 +212,7 @@ class TestComposedLayer:
         seeds = SeedSequence(20070625)
         observations = []
         for use_link_cache in (True, False):
-            sim = _sim(portal, use_link_cache, Recorder(capture_link_budget=True))
+            sim = _sim(portal, use_link_cache, Recorder(detail=True))
             run = sim.run_pass(carriers, seeds, 0, fault_plan=plan)
             observations.append(run.obs)
         cached, oracle = observations
@@ -298,7 +298,7 @@ class TestSceneSnapshot:
             return real(*args)
 
         monkeypatch.setattr(simulation, "segment_sphere_chord_length", counting)
-        sim = _sim(single_antenna_portal(), False, Recorder(capture_link_budget=True))
+        sim = _sim(single_antenna_portal(), False, Recorder(detail=True))
         obs = sim.run_pass([carrier], SeedSequence(20070625), 0).obs
         assert obs.truncated_link_records == 0
         assert len(obs.link_records) > 0
