@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..sim.rng import SeedSequence
 
@@ -54,16 +54,35 @@ class PassTrialTask:
     :class:`~repro.sim.rng.SeedSequence` is reconstructed in the worker
     from the root seed, which is what makes the fan-out bit-identical
     to the serial loop.
+
+    The first call in each process compiles the carriers
+    (:meth:`~repro.world.simulation.PortalPassSimulator.compile`) and
+    every later call runs on that scene. The scene is not a field: it
+    stays out of the task's pickle, equality and
+    :func:`dataclasses.replace`, so a worker compiles once per chunk it
+    receives and the parent never compiles a call it fans out.
     """
 
     simulator: Any
     carriers: Tuple[Any, ...]
     fault_plan: Any = None
 
+    #: The compiled scene, set by the first call in this process.
+    _scene = None
+
     def __call__(self, seeds: SeedSequence, trial: int) -> Any:
+        scene = self._scene
+        if scene is None:
+            scene = self.simulator.compile(self.carriers)
+            object.__setattr__(self, "_scene", scene)
         return self.simulator.run_pass(
-            list(self.carriers), seeds, trial, fault_plan=self.fault_plan
+            scene, seeds, trial, fault_plan=self.fault_plan
         )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_scene", None)
+        return state
 
 
 def _run_trial_chunk_timed(

@@ -272,11 +272,6 @@ class MetricsRegistry:
                     raise MetricsError(f"unknown metric type for {name!r}")
             mine.merge(metric)
 
-    def merge_counts(self, counts: Dict[str, int]) -> None:
-        """Fold a plain name->count mapping into the counters."""
-        for name, value in counts.items():
-            self.counter(name).inc(value)
-
 
 def summarise_timer(samples: Iterable[float]) -> Dict[str, Optional[float]]:
     """p50/p95/mean summary of a raw duration sample set (or Nones)."""

@@ -103,10 +103,11 @@ def map_read_zone(
                 tags=[tag],
             )
             seeds = SeedSequence(seed ^ (zi * 1009 + xi))
+            scene = simulator.compile([carrier])
             hits = sum(
                 1
                 for trial in range(trials)
-                if simulator.run_pass([carrier], seeds, trial).read_epcs
+                if simulator.run_pass(scene, seeds, trial).read_epcs
             )
             row.append(hits / trials)
         rows.append(tuple(row))

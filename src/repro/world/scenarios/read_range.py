@@ -87,8 +87,8 @@ def _shared_tag_plane(distance_m: float) -> CarrierGroup:
     This does nothing for a single run: it exists only because the
     ``portalbench`` harness keeps every call's task alive for its
     output check, so its peak RSS grows with passes per run. Delete
-    it once that harness stops retaining tasks (ROADMAP, "Benchmark
-    follow-up").
+    it once that harness stops retaining tasks (ROADMAP item 1,
+    "Benchmark retention fix").
     """
     return build_tag_plane(distance_m)
 

@@ -176,7 +176,9 @@ class PassLinkCache:
 
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
-    re-uses the owning reader's entries). Counters feed
+    re-uses the owning reader's entries). On a static scene, the
+    :class:`CompiledScene` keeps the geometry terms across passes, and
+    a pass's geometry miss takes them from there. Counters feed
     ``PortalPassSimulator._last_cache_stats``.
 
     ``PortalPassSimulator(use_link_cache=False)`` bypasses the cache;
@@ -356,6 +358,46 @@ class PassResult:
         return sum(1 for epc in epcs if epc in seen)
 
 
+#: Geometry terms of one (epc, scene key): what a :class:`GeometryEntry`
+#: holds besides its per-pass link slot.
+SharedGeometry = Tuple[LinkTerms, float, bool]
+
+
+@dataclass(slots=True, eq=False)
+class CompiledScene:
+    """What every pass of one simulator over one carrier set shares.
+
+    Built by :meth:`PortalPassSimulator.compile` and accepted by
+    :meth:`~PortalPassSimulator.run_pass` in place of the carriers, so
+    repeated passes over a fixed population — Figure 2's 40 reads per
+    distance — derive these once instead of once per pass. Nothing
+    here depends on the seed or the trial: shadowing, clutter, fading,
+    composed links and rng streams stay per pass.
+
+    A scene is a snapshot of the carriers and of the simulator's link
+    model when it was compiled, as a pickled task already is: changing
+    either afterwards needs a fresh scene.
+    """
+
+    #: The simulator that compiled the scene; only it may run it.
+    simulator: "PortalPassSimulator"
+    carriers: Tuple[CarrierGroup, ...]
+    #: Every (carrier, tag) pair, carrier by carrier.
+    tags: Tuple[Tuple[CarrierGroup, Tag], ...]
+    epc_index: Dict[str, Tuple[CarrierGroup, Tag]]
+    population: Tuple[str, ...]
+    duration: float
+    #: Every carrier is stationary, so no tag's scene key ever changes.
+    static: bool
+    #: Static per-tag coupling and mount-detuning penalties, by EPC.
+    coupling_db: Dict[str, float]
+    detuning_db: Dict[str, float]
+    #: Geometry terms by (epc, scene key), filled the first time a pass
+    #: evaluates each link; ``None`` unless the scene is static, since a
+    #: moving carrier's keys would grow without bound.
+    geometry: Optional[Dict[tuple, SharedGeometry]]
+
+
 @dataclass(slots=True)
 class _Pass:
     """What one :meth:`PortalPassSimulator.run_pass` call fixes for all readers.
@@ -366,7 +408,7 @@ class _Pass:
 
     carriers: Sequence[CarrierGroup]
     epc_index: Dict[str, Tuple[CarrierGroup, Tag]]
-    population: List[str]
+    population: Sequence[str]
     #: Static per-tag coupling and mount-detuning penalties, by EPC.
     coupling_db: Dict[str, float]
     detuning_db: Dict[str, float]
@@ -385,6 +427,9 @@ class _Pass:
     #: co-channel flag); ``None`` on the reference path, which sums
     #: them afresh every round.
     interference: Optional[Dict[tuple, Optional[float]]]
+    #: The compiled scene's geometry table on the cached path of a
+    #: static scene; ``None`` otherwise.
+    shared_geometry: Optional[Dict[tuple, SharedGeometry]] = None
 
 
 @dataclass(slots=True)
@@ -525,6 +570,13 @@ class PortalPassSimulator:
         #: Counter snapshot from the most recent :meth:`run_pass`;
         #: ``None`` before the first pass or when the cache is disabled.
         self._last_cache_stats: Optional[Dict[str, int]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The last pass's counters describe this process only; a pickled
+        # task ships the same bytes before and after it has run.
+        state = dict(self.__dict__)
+        state["_last_cache_stats"] = None
+        return state
 
     # -- physics ---------------------------------------------------------
 
@@ -710,7 +762,9 @@ class PortalPassSimulator:
 
         The geometry entry is keyed by the tag and its carrier's scene
         key (see :func:`_scene_keys`), which pin the tag's world
-        position and the obstruction the entry stores; the tag position
+        position and the obstruction the entry stores. A static scene's
+        compiled table supplies the terms of a key an earlier pass
+        already met; the entry itself is the pass's own. The tag position
         itself is only computed when the geometry or the link state has
         to be evaluated. The returned link's ``result`` is ``None`` when
         the forward link cannot close under any plausible fading draw
@@ -724,16 +778,27 @@ class PortalPassSimulator:
         entry = cache.geometry.get(key)
         tag_pos = None
         if entry is None:
+            # Still a miss when the compiled scene answers it: the
+            # counters describe this pass's cache.
             cache.geometry_misses += 1
-            tag_pos = scene.tag_position(carrier, tag)
-            obstruction_db, reflector = self._obstruction_db(
-                scene.placed, antenna.position, tag_pos
+            shared_geometry = ctx.shared_geometry
+            shared = (
+                shared_geometry.get(key) if shared_geometry is not None
+                else None
             )
-            geometry, tag_gain_override = self._link_geometry(
-                antenna, tag, tag_pos
-            )
-            terms = compute_link_terms(self.env, geometry, tag_gain_override)
-            entry = GeometryEntry(terms, obstruction_db, reflector)
+            if shared is None:
+                tag_pos = scene.tag_position(carrier, tag)
+                obstruction_db, reflector = self._obstruction_db(
+                    scene.placed, antenna.position, tag_pos
+                )
+                geometry, tag_gain_override = self._link_geometry(
+                    antenna, tag, tag_pos
+                )
+                terms = compute_link_terms(self.env, geometry, tag_gain_override)
+                shared = (terms, obstruction_db, reflector)
+                if shared_geometry is not None:
+                    shared_geometry[key] = shared
+            entry = GeometryEntry(*shared)
             cache.geometry[key] = entry
         else:
             cache.geometry_hits += 1
@@ -918,9 +983,43 @@ class PortalPassSimulator:
 
     # -- the pass loop ----------------------------------------------------
 
+    def compile(self, carriers: Sequence[CarrierGroup]) -> CompiledScene:
+        """What every pass of this simulator over ``carriers`` shares.
+
+        Raises :class:`ValueError` when no carrier has a tag or two tags
+        share an EPC. The geometry table of a static scene starts empty
+        and fills as passes meet each link, so compiling costs what one
+        pass over the carriers always spent on these tables.
+        """
+        tags = tuple(
+            (carrier, tag) for carrier in carriers for tag in carrier.tags
+        )
+        if not tags:
+            raise ValueError("no tags in any carrier group")
+        epc_index: Dict[str, Tuple[CarrierGroup, Tag]] = {}
+        for carrier, tag in tags:
+            if tag.epc in epc_index:
+                raise ValueError(f"duplicate EPC in pass: {tag.epc}")
+            epc_index[tag.epc] = (carrier, tag)
+        static = all(
+            isinstance(c.motion, StationaryPlacement) for c in carriers
+        )
+        return CompiledScene(
+            simulator=self,
+            carriers=tuple(carriers),
+            tags=tags,
+            epc_index=epc_index,
+            population=tuple(epc_index),
+            duration=max(c.motion.duration_s for c in carriers),
+            static=static,
+            coupling_db=self._coupling_table(carriers),
+            detuning_db={tag.epc: tag.detuning_db() for _, tag in tags},
+            geometry={} if static else None,
+        )
+
     def run_pass(
         self,
-        carriers: Sequence[CarrierGroup],
+        carriers: Union[Sequence[CarrierGroup], CompiledScene],
         seeds: SeedSequence,
         trial: int,
         fault_plan: Optional["FaultPlan"] = None,
@@ -930,7 +1029,10 @@ class PortalPassSimulator:
         Parameters
         ----------
         carriers:
-            Everything moving through the portal together.
+            Everything moving through the portal together, or a
+            :class:`CompiledScene` this simulator compiled from them
+            (:meth:`compile`); a scene another simulator compiled raises
+            :class:`ValueError`.
         seeds:
             Root seed container; all randomness below derives from it.
         trial:
@@ -948,18 +1050,13 @@ class PortalPassSimulator:
             the wire layer instead; see
             :class:`~repro.faults.injectors.FaultyTransport`.
         """
-        all_tags: List[Tuple[CarrierGroup, Tag]] = [
-            (carrier, tag) for carrier in carriers for tag in carrier.tags
-        ]
-        if not all_tags:
-            raise ValueError("no tags in any carrier group")
-        epc_index: Dict[str, Tuple[CarrierGroup, Tag]] = {}
-        for carrier, tag in all_tags:
-            if tag.epc in epc_index:
-                raise ValueError(f"duplicate EPC in pass: {tag.epc}")
-            epc_index[tag.epc] = (carrier, tag)
-        population = list(epc_index.keys())
-        duration = max(c.motion.duration_s for c in carriers)
+        if isinstance(carriers, CompiledScene):
+            scene = carriers
+            if scene.simulator is not self:
+                raise ValueError("the scene was compiled by another simulator")
+        else:
+            scene = self.compile(carriers)
+        duration = scene.duration
 
         rec: Optional[PassRecording] = None
         if self.recorder is not None:
@@ -978,7 +1075,7 @@ class PortalPassSimulator:
         # the independence model (paper Table 3: measured 86% vs
         # calculated 96%) while tag-level redundancy matches it.
         clutter: Dict[str, float] = {}
-        for carrier, tag in all_tags:
+        for carrier, tag in scene.tags:
             if carrier.clutter_sigma_db > 0.0:
                 stream = seeds.trial_stream(f"clutter:{tag.epc}", trial)
                 clutter[tag.epc] = stream.gauss(0.0, carrier.clutter_sigma_db)
@@ -986,7 +1083,7 @@ class PortalPassSimulator:
                 clutter[tag.epc] = 0.0
         shadowing: Dict[Tuple[str, str], float] = {}
         for antenna in self.portal.all_antennas:
-            for carrier, tag in all_tags:
+            for carrier, tag in scene.tags:
                 stream = seeds.trial_stream(
                     f"shadow:{tag.epc}:{antenna.antenna_id}", trial
                 )
@@ -996,11 +1093,11 @@ class PortalPassSimulator:
                 )
 
         ctx = _Pass(
-            carriers=carriers,
-            epc_index=epc_index,
-            population=population,
-            coupling_db=self._coupling_table(carriers),
-            detuning_db={tag.epc: tag.detuning_db() for _, tag in all_tags},
+            carriers=scene.carriers,
+            epc_index=scene.epc_index,
+            population=scene.population,
+            coupling_db=scene.coupling_db,
+            detuning_db=scene.detuning_db,
             shadowing=shadowing,
             seeds=seeds,
             trial=trial,
@@ -1009,10 +1106,9 @@ class PortalPassSimulator:
             fault_plan=fault_plan,
             cache=PassLinkCache() if self.use_link_cache else None,
             rec=rec,
-            static=all(
-                isinstance(c.motion, StationaryPlacement) for c in carriers
-            ),
+            static=scene.static,
             interference={} if self.use_link_cache else None,
+            shared_geometry=scene.geometry if self.use_link_cache else None,
         )
         # Each reader runs its own inventory timeline; simultaneous
         # readers interfere but do not share airtime. Traces merge at
@@ -1041,7 +1137,7 @@ class PortalPassSimulator:
         observation = None
         if rec is not None:
             observation = rec.finalize(
-                population=tuple(population),
+                population=scene.population,
                 read_epcs=trace.epcs_seen(),
                 first_read_times={
                     epc: trace.first_read_time(epc) for epc in trace.epcs_seen()

@@ -150,13 +150,6 @@ class TestRegistry:
         b.counter("x").inc()
         assert a != b
 
-    def test_merge_counts(self):
-        reg = MetricsRegistry()
-        reg.merge_counts({"a": 2, "b": 1})
-        reg.merge_counts({"a": 1})
-        assert reg.counter("a").value == 3
-        assert reg.counter("b").value == 1
-
 
 class TestSummariseTimer:
     def test_empty(self):

@@ -1,0 +1,176 @@
+"""Compiled scenes: what repeated passes over one carrier set share.
+
+A :class:`CompiledScene` holds the seed-independent tables of a pass —
+EPC index, coupling and detuning penalties and, for a static scene,
+the geometry terms of each link — so a task running many trials of one
+scene derives them once. Every result must stay bit-identical to
+compiling per call and to the uncached reference.
+"""
+
+import dataclasses
+import pickle
+
+import pytest
+
+import repro.world.simulation as simulation
+from repro.core.calibration import PaperSetup
+from repro.core.experiment import run_trials
+from repro.core.parallel import PassTrialTask
+from repro.sim.rng import SeedSequence
+from repro.world.motion import StationaryPlacement
+from repro.world.portal import single_antenna_portal
+from repro.world.scenarios.catalog import SCENES
+from repro.world.scenarios.read_range import PAPER_REPETITIONS, build_tag_plane
+from repro.world.simulation import CompiledScene, PortalPassSimulator
+
+SEED = 20070625
+
+STATIONARY_SCENES = sorted(
+    name
+    for name, scene in SCENES.items()
+    if all(
+        isinstance(c.motion, StationaryPlacement)
+        for c in scene.build().carriers
+    )
+)
+
+
+def _copy(simulator, use_link_cache):
+    return PortalPassSimulator(
+        portal=simulator.portal,
+        env=simulator.env,
+        params=simulator.params,
+        timing=simulator.timing,
+        use_link_cache=use_link_cache,
+    )
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_catalog_has_a_stationary_scene():
+    assert STATIONARY_SCENES
+
+
+class TestParity:
+    @pytest.mark.parametrize("name", STATIONARY_SCENES)
+    def test_compiled_task_matches_reference_and_per_call_compile(self, name):
+        task = SCENES[name].build()
+        trials = max(3, SCENES[name].trials)
+        per_call = _copy(task.simulator, True)
+        reference = _copy(task.simulator, False)
+        seeds = SeedSequence(SEED)
+        for trial in range(trials):
+            compiled = task(seeds, trial)
+            compiled_stats = task.simulator._last_cache_stats
+            assert compiled == reference.run_pass(
+                list(task.carriers), seeds, trial
+            )
+            assert compiled == per_call.run_pass(
+                list(task.carriers), seeds, trial
+            )
+            assert compiled_stats == per_call._last_cache_stats
+        assert task._scene is not None
+        assert task._scene.geometry
+
+
+class TestCompiledOnce:
+    def test_figure2_distance_computes_each_link_once(self, monkeypatch):
+        link_terms = _counting(monkeypatch, simulation, "compute_link_terms")
+        coupling = _counting(
+            monkeypatch, simulation.PortalPassSimulator, "_coupling_table"
+        )
+        plane = build_tag_plane(3.0)
+        task = PassTrialTask(
+            simulator=PaperSetup().simulator(single_antenna_portal()),
+            carriers=(plane,),
+        )
+        trials = run_trials("plane", task, PAPER_REPETITIONS, seed=SEED)
+        assert len(trials.outcomes) == PAPER_REPETITIONS
+        assert len(link_terms) == len(plane.tags)
+        assert len(coupling) == 1
+
+    def test_per_call_compile_recomputes_every_pass(self, monkeypatch):
+        link_terms = _counting(monkeypatch, simulation, "compute_link_terms")
+        plane = build_tag_plane(3.0)
+        simulator = PaperSetup().simulator(single_antenna_portal())
+        for trial in range(3):
+            simulator.run_pass([plane], SeedSequence(SEED), trial)
+        assert len(link_terms) == 3 * len(plane.tags)
+
+    def test_moving_scene_keeps_no_geometry(self):
+        task = SCENES["cart-front"].build()
+        task(SeedSequence(SEED), 0)
+        assert task._scene.static is False
+        assert task._scene.geometry is None
+
+
+class TestTaskPickle:
+    def test_pickle_size_unchanged_after_a_pass(self):
+        task = SCENES["tag-plane-3m"].build()
+        before = pickle.dumps(task)
+        task(SeedSequence(SEED), 0)
+        assert task._scene is not None
+        after = pickle.dumps(task)
+        assert len(after) == len(before)
+        assert pickle.loads(after)._scene is None
+
+    def test_replace_and_equality_ignore_the_scene(self):
+        task = SCENES["tag-plane-3m"].build()
+        fresh = dataclasses.replace(task)
+        task(SeedSequence(SEED), 0)
+        assert dataclasses.replace(task)._scene is None
+        assert task == fresh
+
+    def test_parent_never_compiles_a_fanned_out_call(self):
+        task = SCENES["tag-plane-3m"].build()
+        parallel = run_trials("plane", task, 4, seed=SEED, workers=2)
+        assert task._scene is None
+        serial = run_trials(
+            "plane", SCENES["tag-plane-3m"].build(), 4, seed=SEED
+        )
+        assert parallel.outcomes == serial.outcomes
+
+
+class TestSnapshot:
+    def test_scene_from_another_simulator_raises(self):
+        plane = build_tag_plane(3.0)
+        owner = PaperSetup().simulator(single_antenna_portal())
+        other = _copy(owner, True)
+        scene = owner.compile([plane])
+        assert isinstance(scene, CompiledScene)
+        with pytest.raises(ValueError, match="another simulator"):
+            other.run_pass(scene, SeedSequence(SEED), 0)
+
+    def test_mutated_carrier_list_is_seen_by_the_next_call(self):
+        near = build_tag_plane(1.0)
+        simulator = PaperSetup().simulator(single_antenna_portal())
+        carriers = [near]
+        first = simulator.run_pass(carriers, SeedSequence(SEED), 0)
+        assert first.read_epcs == {t.epc for t in near.tags}
+        carriers[0] = dataclasses.replace(near, tags=near.tags[:5])
+        second = simulator.run_pass(carriers, SeedSequence(SEED), 0)
+        assert second.read_epcs == {t.epc for t in near.tags[:5]}
+        dropped = carriers[0].tags.pop()
+        third = simulator.run_pass(carriers, SeedSequence(SEED), 0)
+        assert third.read_epcs == {t.epc for t in near.tags[:4]}
+        assert dropped.epc not in third.read_epcs
+
+    def test_compile_rejects_what_run_pass_rejects(self):
+        simulator = PaperSetup().simulator(single_antenna_portal())
+        plane = build_tag_plane(1.0)
+        with pytest.raises(ValueError, match="duplicate EPC"):
+            simulator.compile([plane, plane])
+        with pytest.raises(ValueError, match="no tags"):
+            simulator.compile(
+                [dataclasses.replace(plane, tags=[])]
+            )
