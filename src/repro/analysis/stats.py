@@ -1,7 +1,7 @@
 """Summary statistics used by the benchmark tables.
 
-Kept deliberately dependency-light (plain Python; numpy only where it
-clearly pays) so the analysis layer can run anywhere the library runs.
+Plain Python, like the rest of the library, so the analysis layer
+runs anywhere the library runs.
 """
 
 from __future__ import annotations

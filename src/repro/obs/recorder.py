@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..sim.rng import RandomStream, SeedSequence
-from .metrics import MARGIN_EDGES_DB, MetricsRegistry
+from .metrics import MARGIN_EDGES_DB, Counter, MetricsRegistry
 from .records import (
     DwellLinkRecord,
     MaskedDwellRecord,
@@ -158,6 +158,17 @@ class PassRecording:
         self._rng: List[RngStreamRecord] = []
         self._masked_count = 0
         self._truncated = 0
+        #: Counter handles by name, each kept from its first increment
+        #: on. Declaring a counter only when it first counts keeps the
+        #: registry's names, and their order, what the hooks make them.
+        self._counters: Dict[str, Counter] = {}
+
+    def _count(self, name: str) -> None:
+        """Add one to the per-pass counter ``name``."""
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self._metrics.counter(name)
+        counter.inc()
 
     def _aggregate(self, epc: str) -> _TagAggregate:
         agg = self._aggregates.get(epc)
@@ -194,9 +205,9 @@ class PassRecording:
             or unfaulted > agg.best_unfaulted_margin_db
         ):
             agg.best_unfaulted_margin_db = unfaulted
-        self._metrics.counter("pass.link_evals").inc()
+        self._count("pass.link_evals")
         if record.short_circuited:
-            self._metrics.counter("pass.short_circuits").inc()
+            self._count("pass.short_circuits")
         else:
             if record.forward_margin_db is not None:
                 self._forward_hist.observe(record.forward_margin_db)
@@ -223,16 +234,16 @@ class PassRecording:
             if len(responders) >= 2:
                 for epc in responders:
                     self._aggregate(epc).collision_slots += 1
-                self._metrics.counter("pass.collision_slots").inc()
+                self._count("pass.collision_slots")
             elif len(responders) == 1:
                 # A garbled solo reply: the reader files it as a
                 # collision, but nobody else was on the air.
                 self._aggregate(responders[0]).solo_garbled_slots += 1
-                self._metrics.counter("pass.garbled_slots").inc()
+                self._count("pass.garbled_slots")
         elif outcome == "success":
-            self._metrics.counter("pass.success_slots").inc()
+            self._count("pass.success_slots")
         else:
-            self._metrics.counter("pass.empty_slots").inc()
+            self._count("pass.empty_slots")
         if self.detail:
             self._slot_records.append(
                 SlotRecord(
@@ -256,7 +267,7 @@ class PassRecording:
     ) -> None:
         """A dwell skipped by an injected fault (the blind evidence)."""
         self._masked_count += 1
-        self._metrics.counter("pass.masked_dwells").inc()
+        self._count("pass.masked_dwells")
         self._masked.append(
             MaskedDwellRecord(
                 time=time,
@@ -268,7 +279,7 @@ class PassRecording:
         )
 
     def round_complete(self) -> None:
-        self._metrics.counter("pass.rounds").inc()
+        self._count("pass.rounds")
 
     def rng_stream(self, name: str, seed: int) -> None:
         self._rng.append(RngStreamRecord(trial=self.trial, name=name, seed=seed))

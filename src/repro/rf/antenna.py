@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Vec3
+from .geometry import Vec3, vector_angle
 from .units import db_to_linear, linear_to_db
 
 #: Fixed loss when a circularly polarized reader antenna illuminates a
@@ -31,6 +31,9 @@ CIRCULAR_TO_LINEAR_LOSS_DB = 3.0
 #: Pattern floor: no physical antenna has a mathematically perfect null;
 #: scattering off the environment fills nulls in to roughly -25 dB.
 NULL_FLOOR_DB = -25.0
+
+#: The null floor as a linear power ratio, converted once.
+_NULL_FLOOR = db_to_linear(NULL_FLOOR_DB)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,11 +59,14 @@ class PatchAntenna:
         Both vectors are in world coordinates; only their angle matters.
         Directions behind the antenna get the null floor.
         """
-        angle = boresight.angle_to(direction)
+        return self.gain_at_angle_dbi(boresight.angle_to(direction))
+
+    def gain_at_angle_dbi(self, angle: float) -> float:
+        """Gain at ``angle`` radians off boresight (the pattern itself)."""
         if angle >= math.pi / 2.0:
             return self.boresight_gain_dbi + NULL_FLOOR_DB
         pattern = math.cos(angle) ** self.rolloff_exponent
-        pattern_db = linear_to_db(max(pattern, db_to_linear(NULL_FLOOR_DB)))
+        pattern_db = linear_to_db(max(pattern, _NULL_FLOOR))
         return self.boresight_gain_dbi + pattern_db
 
 
@@ -77,14 +83,16 @@ class DipoleAntenna:
 
     def gain_dbi(self, direction: Vec3, dipole_axis: Vec3) -> float:
         """Gain toward ``direction`` for a dipole whose axis is ``dipole_axis``."""
-        theta = dipole_axis.angle_to(direction)
+        return self.gain_at_angle_dbi(dipole_axis.angle_to(direction))
+
+    def gain_at_angle_dbi(self, theta: float) -> float:
+        """Gain at ``theta`` radians from the dipole axis (the pattern itself)."""
         sin_theta = math.sin(theta)
         if sin_theta < 1e-6:
             return self.broadside_gain_dbi + NULL_FLOOR_DB
         pattern = math.cos((math.pi / 2.0) * math.cos(theta)) / sin_theta
         power = pattern * pattern
-        floor = db_to_linear(NULL_FLOOR_DB)
-        pattern_db = linear_to_db(max(power, floor))
+        pattern_db = linear_to_db(max(power, _NULL_FLOOR))
         return self.broadside_gain_dbi + pattern_db
 
 
@@ -116,19 +124,62 @@ def polarization_loss_db(
     reader_pol_axis:
         For a linearly polarized reader antenna, its E-field axis.
     """
-    k = propagation_dir.normalized()
+    return transverse_polarization_loss_db(
+        reader_circular,
+        tag_axis.x,
+        tag_axis.y,
+        tag_axis.z,
+        propagation_dir.x,
+        propagation_dir.y,
+        propagation_dir.z,
+        reader_pol_axis.x,
+        reader_pol_axis.y,
+        reader_pol_axis.z,
+    )
+
+
+def transverse_polarization_loss_db(
+    reader_circular: bool,
+    ax: float,
+    ay: float,
+    az: float,
+    dx: float,
+    dy: float,
+    dz: float,
+    px: float = 1.0,
+    py: float = 0.0,
+    pz: float = 0.0,
+) -> float:
+    """:func:`polarization_loss_db` on plain floats.
+
+    ``a`` is the tag axis, ``d`` the propagation direction and ``p``
+    the reader's E-field axis (default: x). The direction is normalised
+    again even when the caller passes a unit vector, exactly as the
+    vector form always did, so both forms give the same bits.
+    """
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a zero vector")
+    kx = dx / n
+    ky = dy / n
+    kz = dz / n
     # Project the tag axis onto the transverse plane.
-    tag_t = tag_axis - k * tag_axis.dot(k)
-    if tag_t.norm() < 1e-9:
+    along = ax * kx + ay * ky + az * kz
+    tx = ax - kx * along
+    ty = ay - ky * along
+    tz = az - kz * along
+    if math.sqrt(tx * tx + ty * ty + tz * tz) < 1e-9:
         # Dipole pointing straight at the antenna: no transverse component.
         # Pattern loss already handles this; report the floor here too.
         return -NULL_FLOOR_DB
     if reader_circular:
         return CIRCULAR_TO_LINEAR_LOSS_DB
-    reader_t = reader_pol_axis - k * reader_pol_axis.dot(k)
-    if reader_t.norm() < 1e-9:
+    along = px * kx + py * ky + pz * kz
+    rx = px - kx * along
+    ry = py - ky * along
+    rz = pz - kz * along
+    if math.sqrt(rx * rx + ry * ry + rz * rz) < 1e-9:
         return -NULL_FLOOR_DB
-    angle = tag_t.angle_to(reader_t)
+    angle = vector_angle(tx, ty, tz, rx, ry, rz)
     cos2 = math.cos(angle) ** 2
-    floor = db_to_linear(NULL_FLOOR_DB)
-    return -linear_to_db(max(cos2, floor))
+    return -linear_to_db(max(cos2, _NULL_FLOOR))

@@ -87,11 +87,9 @@ class Vec3:
 
     def angle_to(self, other: "Vec3") -> float:
         """Angle in radians between this vector and ``other`` (0..pi)."""
-        denom = self.norm() * other.norm()
-        if denom < 1e-24:
-            raise ValueError("angle with a zero vector is undefined")
-        cosine = max(-1.0, min(1.0, self.dot(other) / denom))
-        return math.acos(cosine)
+        return vector_angle(
+            self.x, self.y, self.z, other.x, other.y, other.z
+        )
 
     def is_close(self, other: "Vec3", tol: float = 1e-9) -> bool:
         """True when all components match within ``tol``."""
@@ -119,6 +117,23 @@ class Vec3:
 
 
 ORIGIN = Vec3.zero()
+
+
+def vector_angle(
+    ax: float, ay: float, az: float, bx: float, by: float, bz: float
+) -> float:
+    """Angle in radians between vectors ``a`` and ``b`` (0..pi).
+
+    The plain-float form of :meth:`Vec3.angle_to`, with the same
+    operations in the same order, so both give the same bits.
+    """
+    denom = math.sqrt(ax * ax + ay * ay + az * az) * math.sqrt(
+        bx * bx + by * by + bz * bz
+    )
+    if denom < 1e-24:
+        raise ValueError("angle with a zero vector is undefined")
+    cosine = max(-1.0, min(1.0, (ax * bx + ay * by + az * bz) / denom))
+    return math.acos(cosine)
 
 
 @dataclass(frozen=True)
@@ -232,32 +247,53 @@ def segment_intersects_sphere(
 
 
 def segment_sphere_chord_length(
-    start: Vec3, end: Vec3, centre: Vec3, radius: float
+    sx: float,
+    sy: float,
+    sz: float,
+    ux: float,
+    uy: float,
+    uz: float,
+    length: float,
+    cx: float,
+    cy: float,
+    cz: float,
+    radius: float,
 ) -> float:
-    """Length of the part of segment ``start``-``end`` inside the sphere.
+    """Length of the part of a segment inside the sphere at ``c``.
+
+    The segment starts at ``s`` and runs ``length`` metres along the
+    unit vector ``u``: for a segment from ``start`` to ``end``,
+    ``length`` is the norm of ``end - start`` and ``u`` is that
+    difference divided by ``length``. A ray-march over many spheres
+    computes both once and passes them to every call.
 
     Attenuation through lossy material scales with the traversed
     thickness, so occlusion models need the chord length and not just a
-    hit/miss answer. Returns 0.0 when the segment misses the sphere.
+    hit/miss answer. Returns 0.0 when the segment misses the sphere or
+    has (numerically) no length.
     """
-    d = end - start
-    seg_len = d.norm()
-    if seg_len < 1e-12:
+    if length < 1e-12:
         return 0.0
-    u = d / seg_len
-    oc = start - centre
-    b = oc.dot(u)
-    c = oc.dot(oc) - radius * radius
+    ox = sx - cx
+    oy = sy - cy
+    oz = sz - cz
+    b = ox * ux + oy * uy + oz * uz
+    c = (ox * ox + oy * oy + oz * oz) - radius * radius
     disc = b * b - c
     if disc <= 0.0:
         return 0.0
     sqrt_disc = math.sqrt(disc)
     t0 = -b - sqrt_disc
     t1 = -b + sqrt_disc
-    # Clip the chord to the segment extent.
-    t0 = max(t0, 0.0)
-    t1 = min(t1, seg_len)
-    return max(0.0, t1 - t0)
+    # Clip the chord to the segment extent. Each test below returns
+    # what ``max``/``min`` would, ties and NaN included, without the
+    # builtin calls.
+    if t0 < 0.0:
+        t0 = 0.0
+    if length < t1:
+        t1 = length
+    chord = t1 - t0
+    return chord if chord > 0.0 else 0.0
 
 
 def centroid(points: Sequence[Vec3]) -> Vec3:

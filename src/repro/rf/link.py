@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .antenna import DipoleAntenna, PatchAntenna, polarization_loss_db
-from .geometry import Vec3
+from .antenna import DipoleAntenna, PatchAntenna, transverse_polarization_loss_db
+from .geometry import Vec3, vector_angle
 from .propagation import ChannelModel
 from .units import linear_to_db
 
@@ -81,6 +81,14 @@ class LinkGeometry:
         """Unit vector from antenna to tag."""
         return (self.tag_position - self.antenna_position).normalized()
 
+    def components(self) -> Tuple[float, ...]:
+        """The 12 coordinates :func:`compute_link_terms` takes, in order."""
+        a = self.antenna_position
+        b = self.antenna_boresight
+        t = self.tag_position
+        k = self.tag_axis
+        return (a.x, a.y, a.z, b.x, b.y, b.z, t.x, t.y, t.z, k.x, k.y, k.z)
+
 
 @dataclass(frozen=True)
 class LinkTerms:
@@ -105,26 +113,61 @@ class LinkTerms:
 
 def compute_link_terms(
     env: LinkEnvironment,
-    geometry: LinkGeometry,
+    ax: float,
+    ay: float,
+    az: float,
+    bx: float,
+    by: float,
+    bz: float,
+    tx: float,
+    ty: float,
+    tz: float,
+    kx: float,
+    ky: float,
+    kz: float,
     tag_gain_override_dbi: Optional[float] = None,
 ) -> LinkTerms:
-    """Evaluate the geometry-dependent antenna/path terms of a link."""
-    distance = geometry.distance_m
-    direction = geometry.direction
-    reader_gain = env.reader_antenna.gain_dbi(direction, geometry.antenna_boresight)
+    """Evaluate the geometry-dependent antenna/path terms of a link.
+
+    Plain floats, world frame: the antenna at ``a`` with boresight
+    ``b``, the tag at ``t`` with dipole axis ``k``. A
+    :class:`LinkGeometry` unpacks into these with
+    :meth:`LinkGeometry.components`.
+
+    Every operation is the one the vector form of this computation
+    made, in the same order, so the terms are bit-identical to it.
+    """
+    # Two norms, as the vector form took them: the distance is the norm
+    # of antenna - tag, the direction is tag - antenna over its own norm.
+    ex = ax - tx
+    ey = ay - ty
+    ez = az - tz
+    distance = math.sqrt(ex * ex + ey * ey + ez * ez)
+    dx = tx - ax
+    dy = ty - ay
+    dz = tz - az
+    n = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if n < 1e-12:
+        raise ValueError("cannot normalize a zero vector")
+    ux = dx / n
+    uy = dy / n
+    uz = dz / n
+    reader_gain = env.reader_antenna.gain_at_angle_dbi(
+        vector_angle(bx, by, bz, ux, uy, uz)
+    )
     # Tag sees the wave arriving from -direction; dipole pattern is
     # symmetric so the sign does not matter, but keep it explicit.
     if tag_gain_override_dbi is not None:
         tag_gain = tag_gain_override_dbi
     else:
-        tag_gain = env.tag_antenna.gain_dbi(-direction, geometry.tag_axis)
-    pol_loss = polarization_loss_db(
-        env.reader_antenna.circular, geometry.tag_axis, direction
+        tag_gain = env.tag_antenna.gain_at_angle_dbi(
+            vector_angle(kx, ky, kz, -ux, -uy, -uz)
+        )
+    pol_loss = transverse_polarization_loss_db(
+        env.reader_antenna.circular, kx, ky, kz, ux, uy, uz
     )
     path_gain = env.channel.path_loss.path_gain_db(
-        distance,
-        tx_height_m=geometry.antenna_position.y,
-        rx_height_m=geometry.tag_position.y,
+        distance, tx_height_m=ay, rx_height_m=ty
     )
     return LinkTerms(
         reader_gain_dbi=reader_gain,
@@ -199,7 +242,9 @@ def evaluate_link(
     LinkResult
         Power levels and pass/fail for both directions.
     """
-    terms = compute_link_terms(env, geometry, tag_gain_override_dbi)
+    terms = compute_link_terms(
+        env, *geometry.components(), tag_gain_override_dbi
+    )
     return compose_link(
         env,
         tx_power_dbm,
@@ -356,7 +401,7 @@ def _forward_closes_upper_bound(
     (forward, hence readable) closes at ``d`` or beyond.
     """
     geometry = _boresight_geometry(d)
-    terms = compute_link_terms(env, geometry)
+    terms = compute_link_terms(env, *geometry.components())
     path_ub = env.channel.path_loss.path_gain_upper_bound_db(
         geometry.distance_m,
         tx_height_m=geometry.antenna_position.y,

@@ -230,7 +230,7 @@ def check_monotone_tx_power(seed: int, deep: bool = False) -> CheckResult:
         tag_position=Vec3(0.2, 1.1, 2.5),
         tag_axis=Vec3.unit_x(),
     )
-    terms = link_mod.compute_link_terms(env, geometry)
+    terms = link_mod.compute_link_terms(env, *geometry.components())
     powers = [20.0 + 0.5 * k for k in range(27)]  # 20..33 dBm
     margins = [
         link_mod.compose_link(env, p, terms).forward_margin_db for p in powers

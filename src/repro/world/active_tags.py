@@ -171,10 +171,15 @@ class ActiveTagSimulator:
         self, carriers, carrier, tag, antenna, t, static_db, seeds, trial
     ) -> float:
         tag_pos = carrier.tag_world_position(tag, t)
+        antenna_pos = antenna.position
         obstruction_db, _ = self._sim._obstruction_db(
             [(c, c.motion.position_at(t)) for c in carriers],
-            antenna.position,
-            tag_pos,
+            antenna_pos.x,
+            antenna_pos.y,
+            antenna_pos.z,
+            tag_pos.x,
+            tag_pos.y,
+            tag_pos.z,
         )
         direction = (tag_pos - antenna.position).normalized()
         reader_gain = self._sim.env.reader_antenna.gain_dbi(

@@ -22,6 +22,17 @@ nonzero_vectors = vectors.filter(lambda v: v.norm() > 1e-3)
 angles = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
+def _chord(start, end, centre, radius):
+    """The chord of segment ``start``-``end``, through the ray-form kernel."""
+    d = end - start
+    length = d.norm()
+    u = d / length if length > 0.0 else d
+    return segment_sphere_chord_length(
+        start.x, start.y, start.z, u.x, u.y, u.z, length,
+        centre.x, centre.y, centre.z, radius,
+    )
+
+
 class TestVec3:
     def test_slotted_and_picklable(self):
         v = Vec3(1.0, -2.0, 3.5)
@@ -176,26 +187,34 @@ class TestOcclusion:
         )
 
     def test_chord_through_centre_is_diameter(self):
-        chord = segment_sphere_chord_length(
+        chord = _chord(
             Vec3(-5, 0, 0), Vec3(5, 0, 0), Vec3.zero(), 1.5
         )
         assert chord == pytest.approx(3.0)
 
     def test_chord_zero_when_missing(self):
-        chord = segment_sphere_chord_length(
+        chord = _chord(
             Vec3(-5, 3, 0), Vec3(5, 3, 0), Vec3.zero(), 1.0
         )
         assert chord == 0.0
 
     def test_chord_clipped_by_segment_end(self):
         # Segment stops at the sphere centre: half the diameter.
-        chord = segment_sphere_chord_length(
+        chord = _chord(
             Vec3(-5, 0, 0), Vec3(0, 0, 0), Vec3.zero(), 1.0
         )
         assert chord == pytest.approx(1.0)
 
+    def test_chord_zero_for_a_degenerate_segment(self):
+        assert _chord(Vec3.zero(), Vec3.zero(), Vec3.zero(), 1.0) == 0.0
+
+    def test_chord_clipped_by_segment_start(self):
+        # Segment starts at the sphere centre: half the diameter.
+        chord = _chord(Vec3(0, 0, 0), Vec3(5, 0, 0), Vec3.zero(), 1.0)
+        assert chord == pytest.approx(1.0)
+
     def test_grazing_chord_small(self):
-        chord = segment_sphere_chord_length(
+        chord = _chord(
             Vec3(-5, 0.99, 0), Vec3(5, 0.99, 0), Vec3.zero(), 1.0
         )
         assert 0.0 < chord < 0.6
@@ -205,7 +224,7 @@ class TestOcclusion:
         st.floats(min_value=0.1, max_value=2.0),
     )
     def test_chord_never_exceeds_diameter(self, offset, radius):
-        chord = segment_sphere_chord_length(
+        chord = _chord(
             Vec3(-10, offset, 0), Vec3(10, offset, 0), Vec3.zero(), radius
         )
         assert 0.0 <= chord <= 2.0 * radius + 1e-9
@@ -216,7 +235,7 @@ class TestOcclusion:
     )
     def test_chord_consistent_with_intersection(self, offset, radius):
         start, end = Vec3(-10, offset, 0), Vec3(10, offset, 0)
-        chord = segment_sphere_chord_length(start, end, Vec3.zero(), radius)
+        chord = _chord(start, end, Vec3.zero(), radius)
         hits = segment_intersects_sphere(start, end, Vec3.zero(), radius)
         if chord > 1e-9:
             assert hits
