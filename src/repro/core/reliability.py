@@ -19,6 +19,29 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+#: Two-sided z for a 95% confidence level.
+Z_95 = 1.959963984540054
+
+
+def wilson_interval(
+    successes: int, trials: int, z: float = Z_95
+) -> Tuple[float, float]:
+    """Wilson score interval for a Bernoulli rate, from raw counts.
+
+    Preferred over the normal approximation because the paper's
+    rates sit near 0 and 1, where Wald intervals misbehave.
+    """
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials!r}")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes {successes} out of range 0..{trials}")
+    n = float(trials)
+    p = successes / n
+    denom = 1.0 + z * z / n
+    centre = (p + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    return (max(0.0, centre - half), min(1.0, centre + half))
+
 
 @dataclass(frozen=True)
 class ReliabilityEstimate:
@@ -46,17 +69,8 @@ class ReliabilityEstimate:
         return 100.0 * self.rate
 
     def wilson_interval(self, z: float = 1.96) -> Tuple[float, float]:
-        """Wilson score interval for the underlying probability.
-
-        Preferred over the normal approximation because the paper's
-        rates sit near 0 and 1, where Wald intervals misbehave.
-        """
-        n = float(self.trials)
-        p = self.rate
-        denom = 1.0 + z * z / n
-        centre = (p + z * z / (2.0 * n)) / denom
-        half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-        return (max(0.0, centre - half), min(1.0, centre + half))
+        """Wilson score interval for the underlying probability."""
+        return wilson_interval(self.successes, self.trials, z)
 
     def combined_with(self, other: "ReliabilityEstimate") -> "ReliabilityEstimate":
         """Pool two estimates of the same quantity."""

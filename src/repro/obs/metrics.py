@@ -18,7 +18,6 @@ being estimated from buckets.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -50,16 +49,11 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise MetricsError("cannot take a percentile of no samples")
     if not 0.0 <= q <= 100.0:
         raise MetricsError(f"percentile must be in [0, 100], got {q!r}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    # Imported here: the analysis package loads its table and figure
+    # modules, which no recorded pass needs.
+    from ..analysis.stats import quantile
+
+    return quantile(values, q / 100.0)
 
 
 @dataclass

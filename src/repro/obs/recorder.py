@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..rf.link import LinkResult
 from ..sim.rng import RandomStream, SeedSequence
 from .metrics import MARGIN_EDGES_DB, Counter, MetricsRegistry
 from .records import (
@@ -181,20 +182,28 @@ class PassRecording:
 
     def link(
         self,
-        record: DwellLinkRecord,
+        epc: str,
+        result: Optional[LinkResult],
+        fault_loss_db: float,
         no_fade_margin_db: float,
-    ) -> None:
+    ) -> bool:
         """One link-budget evaluation for one (tag, dwell).
 
-        ``no_fade_margin_db`` is the forward margin with the small-scale
-        fading term removed — the quantity the head-room classification
-        (OUT_OF_ZONE vs UNDER_ENERGIZED) is decided on.
+        ``result`` is ``None`` when the forward-link short-circuit
+        skipped the composition. ``no_fade_margin_db`` is the forward
+        margin with the small-scale fading term removed — the quantity
+        the head-room classification (OUT_OF_ZONE vs UNDER_ENERGIZED) is
+        decided on. Returns whether the pass keeps a
+        :class:`~repro.obs.records.DwellLinkRecord` of the evaluation:
+        only a detailed pass does, up to
+        :data:`MAX_LINK_RECORDS_PER_PASS`. The caller then builds it and
+        hands it to :meth:`keep_link`.
         """
-        agg = self._aggregate(record.epc)
+        agg = self._aggregate(epc)
         agg.dwells += 1
-        if record.energized:
+        if result is not None and result.activated:
             agg.energized += 1
-        unfaulted = no_fade_margin_db + record.fault_loss_db
+        unfaulted = no_fade_margin_db + fault_loss_db
         if (
             agg.best_no_fade_margin_db is None
             or no_fade_margin_db > agg.best_no_fade_margin_db
@@ -206,18 +215,21 @@ class PassRecording:
         ):
             agg.best_unfaulted_margin_db = unfaulted
         self._count("pass.link_evals")
-        if record.short_circuited:
+        if result is None:
             self._count("pass.short_circuits")
         else:
-            if record.forward_margin_db is not None:
-                self._forward_hist.observe(record.forward_margin_db)
-            if record.reverse_margin_db is not None:
-                self._reverse_hist.observe(record.reverse_margin_db)
-        if self.detail:
-            if len(self._link_records) < MAX_LINK_RECORDS_PER_PASS:
-                self._link_records.append(record)
-            else:
-                self._truncated += 1
+            self._forward_hist.observe(result.forward_margin_db)
+            self._reverse_hist.observe(result.reverse_margin_db)
+        if not self.detail:
+            return False
+        if len(self._link_records) < MAX_LINK_RECORDS_PER_PASS:
+            return True
+        self._truncated += 1
+        return False
+
+    def keep_link(self, record: DwellLinkRecord) -> None:
+        """Keep the record of the evaluation :meth:`link` just accepted."""
+        self._link_records.append(record)
 
     def slot(
         self,

@@ -14,29 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-#: Two-sided z for the default 95% confidence level.
-Z_95 = 1.959963984540054
-
-
-def wilson_interval(
-    successes: int, trials: int, z: float = Z_95
-) -> Tuple[float, float]:
-    """Wilson score interval for a Bernoulli rate.
-
-    Matches :meth:`repro.core.reliability.ReliabilityEstimate.wilson_interval`
-    but takes raw counts so the checks can use it without building an
-    estimate object.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials!r}")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} out of range 0..{trials}")
-    n = float(trials)
-    p = successes / n
-    denom = 1.0 + z * z / n
-    centre = (p + z * z / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
-    return (max(0.0, centre - half), min(1.0, centre + half))
+# The Wilson interval is the estimators' own; the checks take it from
+# raw counts, without building an estimate object.
+from ..core.reliability import Z_95, wilson_interval
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,9 @@ technologies are compared on identical workloads
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..rf.antenna import PatchAntenna
-from ..rf.geometry import Vec3
-from ..rf.link import LinkEnvironment
 from ..rf.units import linear_to_db
 from ..sim.events import TagReadEvent
 from ..sim.rng import SeedSequence
@@ -111,7 +107,6 @@ class ActiveTagSimulator:
             raise ValueError("no tags in any carrier group")
         duration = max(c.motion.duration_s for c in carriers)
         env = self._sim.env
-        params = self._sim.params
 
         # Static fades: same structure as the passive simulator.
         clutter: Dict[str, float] = {}
@@ -142,20 +137,18 @@ class ActiveTagSimulator:
                         0.0, self.model.beacon_interval_s
                     )
                     while t < duration:
-                        if self._beacon_heard(
+                        rx_dbm = self._rx_power_dbm(
                             carriers, carrier, tag, antenna, t,
                             static_db, seeds, trial,
-                        ):
+                        )
+                        if rx_dbm >= self.receiver_sensitivity_dbm:
                             events.append(
                                 TagReadEvent(
                                     time=t,
                                     epc=tag.epc,
                                     reader_id=reader.reader_id,
                                     antenna_id=antenna.antenna_id,
-                                    rssi_dbm=self._rx_power_dbm(
-                                        carriers, carrier, tag, antenna, t,
-                                        static_db, seeds, trial,
-                                    ),
+                                    rssi_dbm=rx_dbm,
                                 )
                             )
                         t += self.model.beacon_interval_s
@@ -217,11 +210,3 @@ class ActiveTagSimulator:
             - obstruction_db
             + fading_db
         )
-
-    def _beacon_heard(
-        self, carriers, carrier, tag, antenna, t, static_db, seeds, trial
-    ) -> bool:
-        rx = self._rx_power_dbm(
-            carriers, carrier, tag, antenna, t, static_db, seeds, trial
-        )
-        return rx >= self.receiver_sensitivity_dbm

@@ -52,6 +52,7 @@ from ..protocol.dense_reader import (
     interference_at_receiver_dbm,
 )
 from ..protocol.gen2 import (
+    SILENT,
     InventorySession,
     QAlgorithm,
     TagChannel,
@@ -89,18 +90,19 @@ Motion = Union[LinearPass, StationaryPlacement]
 MAX_FADING_HEADROOM_DB = 20.0
 
 
-#: The channel of a tag whose forward link cannot close: silent this round.
-_DEAD_CHANNEL = TagChannel(energized=False, reply_decode_p=0.0)
+#: Geometry terms of one (epc, scene key): link terms, obstruction loss
+#: and whether a reflector backs the tag.
+SharedGeometry = Tuple[LinkTerms, float, bool]
 
 
 @dataclass(slots=True)
 class ComposedLink:
-    """A composed link for one geometry entry (one link state).
+    """One composed link state: its geometry terms and what they gave.
 
-    Besides the geometry entry it hangs under (antenna, tag, tag and
-    occluder positions), a link state is fixed by the reader, the
-    dwell's interference value and the antenna's fault loss; everything
-    else ``compose_link`` consumes — shadowing, detuning, coupling, the
+    ``geometry`` fixes the antenna, the tag, and the tag and occluder
+    positions; the rest of a link state is the reader, the dwell's
+    interference value and the antenna's fault loss. Everything else
+    ``compose_link`` consumes — shadowing, detuning, coupling, the
     fading normals of the tag's coherence cell — is constant for the
     pass. ``result`` is ``None`` when the forward-link short-circuit
     fired. The remaining fields exist so a replay can re-emit the
@@ -109,6 +111,7 @@ class ComposedLink:
     ``forward_no_fade_dbm`` at ``None``.
     """
 
+    geometry: SharedGeometry
     reader_id: str
     interference_dbm: Optional[float]
     fault_loss_db: float
@@ -118,46 +121,27 @@ class ComposedLink:
     forward_no_fade_dbm: Optional[float]
 
 
-@dataclass(slots=True)
-class GeometryEntry:
-    """Geometry terms of one (tag, antenna, scene) key.
-
-    ``link`` is the last :class:`ComposedLink` evaluated under this
-    geometry. One slot is enough: an antenna port is driven by one
-    reader at a time, so a second reader only takes it over after a
-    crash, and then simply replaces the stored state.
-    """
-
-    terms: LinkTerms
-    obstruction_db: float
-    reflector: bool
-    link: Optional[ComposedLink] = None
-
-
 class PassLinkCache:
-    """Per-pass memo of the link-budget terms that do not change per round.
+    """Per-pass memo of the link-budget work that does not change per round.
 
     ``_run_reader_timeline`` consults the link budget for every
     (candidate tag, inventory round) pair — hundreds of evaluations per
     pass, most of which recompute values that are pinned for the whole
     pass or for the current dwell geometry:
 
-    * **geometry** — antenna pattern gain, tag pattern gain,
-      polarization loss, deterministic path gain, and occluder chords,
-      keyed by ``(epc, antenna_id, carrier position, positions of the
-      other carriers that have occluders)`` at the round's time: the
-      tag's carrier position pins its world position, and the occluder
-      positions pin its obstruction. Exact float positions are used
-      (not quantized), so a hit replays terms that are *bit-identical*
-      to recomputation; stationary scenes hit on every round after the
-      first, moving passes hit whenever two rounds sample the same
-      scene.
-    * **composed links** — under each geometry entry, the
-      :class:`ComposedLink` of the last link state evaluated there. A
-      round whose reader, interference value and fault loss match it
-      replays the stored ``LinkResult`` and ``TagChannel`` instead of
-      drawing fading and composing the budget again: the same pure
-      arithmetic on the same inputs gives the same values.
+    * **links** — the last :class:`ComposedLink` evaluated under each
+      ``(epc, scene key)``: the antenna, the tag's carrier position and
+      the positions of the other carriers that have occluders at the
+      round's time (see :func:`_scene_keys`). Exact float positions
+      are used (not quantized), so the key pins the link's geometry
+      terms bit for bit. A round whose reader, interference value and
+      fault loss match the stored link replays its ``LinkResult`` and
+      ``TagChannel`` instead of drawing fading and composing the budget
+      again: the same pure arithmetic on the same inputs gives the same
+      values. Otherwise the new link state is composed on the stored
+      link's geometry. One link per key is enough: an antenna port is
+      driven by one reader at a time, so a second reader only takes it
+      over after a crash, and then simply replaces the stored state.
     * **fading normals** — the standard-normal pair behind each Rician
       draw, keyed by ``(reader_id, antenna_id, epc, coherence cell)``.
       The serial simulator derives a fresh seeded stream from exactly
@@ -165,19 +149,22 @@ class PassLinkCache:
       the same pair of normals each time; caching them skips the
       sha256-based stream construction while the K-factor penalty is
       still applied per round (obstruction may vary).
+    * **interference** — the Friis sum at a reader's receiver by
+      (reader, antenna, live aggressors, co-channel flag).
 
     Counters keep their per-evaluation meaning whichever layer answers:
-    a composed replay still counts as a geometry hit and as the fading
-    hit or short-circuit the full evaluation would have been, and so
-    does each evaluation an idle round skipped (see
-    :class:`_IdleProof`).
+    a geometry hit means the pass already held a link under the key,
+    and a composed replay still counts as the fading hit or
+    short-circuit the full evaluation would have been, and so does each
+    evaluation an idle round skipped (see :class:`_IdleProof`). A key
+    the compiled scene's geometry table answers is still this pass's
+    geometry miss.
 
     One cache covers one :meth:`PortalPassSimulator.run_pass` call (all
     readers — geometry terms are reader-independent, so a mux takeover
-    re-uses the owning reader's entries). On a static scene, the
-    :class:`CompiledScene` keeps the geometry terms across passes, and
-    a pass's geometry miss takes them from there. Counters feed
-    ``PortalPassSimulator._last_cache_stats``.
+    composes on the owning reader's links). On a static scene, the
+    :class:`CompiledScene` keeps the geometry terms across passes.
+    Counters feed ``PortalPassSimulator._last_cache_stats``.
 
     ``PortalPassSimulator(use_link_cache=False)`` bypasses the cache;
     that uncached path is the reference the parity tests and the
@@ -185,8 +172,9 @@ class PassLinkCache:
     """
 
     __slots__ = (
-        "geometry",
+        "links",
         "fading_normals",
+        "interference",
         "geometry_hits",
         "geometry_misses",
         "composed_hits",
@@ -197,10 +185,11 @@ class PassLinkCache:
     )
 
     def __init__(self) -> None:
-        self.geometry: Dict[tuple, GeometryEntry] = {}
+        self.links: Dict[tuple, ComposedLink] = {}
         self.fading_normals: Dict[
             Tuple[str, str, str, int, int, int], Tuple[float, float]
         ] = {}
+        self.interference: Dict[tuple, Optional[float]] = {}
         self.geometry_hits = 0
         self.geometry_misses = 0
         self.composed_hits = 0
@@ -356,11 +345,6 @@ class PassResult:
         return sum(1 for epc in epcs if epc in seen)
 
 
-#: Geometry terms of one (epc, scene key): what a :class:`GeometryEntry`
-#: holds besides its per-pass link slot.
-SharedGeometry = Tuple[LinkTerms, float, bool]
-
-
 @dataclass(slots=True, eq=False)
 class CompiledScene:
     """What every pass of one simulator over one carrier set shares.
@@ -401,33 +385,19 @@ class _Pass:
     """What one :meth:`PortalPassSimulator.run_pass` call fixes for all readers.
 
     Built once per pass; the reader timelines and every link evaluation
-    read the pass's tables, streams, cache and recording from it.
+    read the compiled scene's tables and the pass's streams, cache and
+    recording from it. ``cache is None`` selects the reference path.
     """
 
-    carriers: Sequence[CarrierGroup]
-    epc_index: Dict[str, Tuple[CarrierGroup, Tag]]
-    population: Sequence[str]
-    #: Static per-tag coupling and mount-detuning penalties, by EPC.
-    coupling_db: Dict[str, float]
-    detuning_db: Dict[str, float]
+    scene: CompiledScene
     #: Per-trial static fade, by (EPC, antenna id).
     shadowing: Dict[Tuple[str, str], float]
     seeds: SeedSequence
     trial: int
-    duration: float
     interference_rng: RandomStream
     fault_plan: Optional["FaultPlan"]
     cache: Optional[PassLinkCache]
     rec: Optional[PassRecording]
-    #: Every carrier is stationary, so no tag's scene key ever changes.
-    static: bool
-    #: Friis interference sums by (reader, antenna, live aggressors,
-    #: co-channel flag); ``None`` on the reference path, which sums
-    #: them afresh every round.
-    interference: Optional[Dict[tuple, Optional[float]]]
-    #: The compiled scene's geometry table on the cached path of a
-    #: static scene; ``None`` otherwise.
-    shared_geometry: Optional[Dict[tuple, SharedGeometry]] = None
 
 
 @dataclass(slots=True)
@@ -459,8 +429,8 @@ class _IdleProof:
     """Why the next rounds of a reader cannot read anything.
 
     Taken after a round in which no tag contended: ``links`` holds the
-    (tag, geometry entry, composed link) of every uninventoried tag that
-    round evaluated, none of them energized. While the scene is static
+    (tag, composed link) of every uninventoried tag that round
+    evaluated, none of them energized. While the scene is static
     and the reader keeps the antenna, interference value and fault loss
     of that round, every one of those evaluations would replay the same
     dead channel, so a round is only a Query and empty slots.
@@ -469,7 +439,7 @@ class _IdleProof:
     antenna: AntennaInstallation
     interference_dbm: Optional[float]
     fault_loss_db: float
-    links: List[Tuple[Tag, GeometryEntry, ComposedLink]]
+    links: List[Tuple[Tag, ComposedLink]]
     short_circuits: int
 
     def holds(
@@ -668,7 +638,7 @@ class PortalPassSimulator:
         tag: Tag,
         tag_pos: Tuple[float, float, float],
     ) -> SharedGeometry:
-        """One ray-march and one link-terms evaluation: a geometry entry's terms."""
+        """One ray-march and one link-terms evaluation: a link's geometry terms."""
         tx, ty, tz = tag_pos
         a = antenna.position
         ax = a.x
@@ -745,10 +715,10 @@ class PortalPassSimulator:
         reduced backscatter power — the reverse link as well.
         """
         epc = tag.epc
+        compiled = ctx.scene
         tag_pos = scene.tag_position(carrier, tag)
-        terms, obstruction_db, reflector = self._geometry_terms(
-            scene.placed, antenna, tag, tag_pos
-        )
+        geometry = self._geometry_terms(scene.placed, antenna, tag, tag_pos)
+        terms, obstruction_db, reflector = geometry
         fading_rng = _fading_stream(
             ctx, self._fading_key(reader, antenna, tag, tag_pos)
         )
@@ -761,8 +731,8 @@ class PortalPassSimulator:
             reader.tx_power_dbm + gain_bonus - fault_loss_db,
             terms,
             obstruction_loss_db=obstruction_db,
-            tag_detuning_db=ctx.detuning_db[epc],
-            coupling_penalty_db=ctx.coupling_db[epc],
+            tag_detuning_db=compiled.detuning_db[epc],
+            coupling_penalty_db=compiled.coupling_db[epc],
             shadowing_db=ctx.shadowing[(epc, antenna.antenna_id)],
             fading_power_gain=fading_gain,
             interference_dbm=interference_dbm,
@@ -772,12 +742,11 @@ class PortalPassSimulator:
             reply_decode_p=self._decode_probability(result),
         )
         link = ComposedLink(
-            reader.reader_id, interference_dbm, fault_loss_db, result,
-            channel, fading_gain, None,
+            geometry, reader.reader_id, interference_dbm, fault_loss_db,
+            result, channel, fading_gain, None,
         )
         if ctx.rec is not None:
-            entry = GeometryEntry(terms, obstruction_db, reflector)
-            self._record_composed(ctx, entry, link, tag, antenna, reader, t)
+            self._record_composed(ctx, link, tag, antenna, reader, t)
         return link
 
     def _evaluate_tag_cached(
@@ -794,44 +763,41 @@ class PortalPassSimulator:
     ) -> ComposedLink:
         """Cache-assisted equivalent of :meth:`_evaluate_tag`.
 
-        The geometry entry is keyed by the tag and its carrier's scene
-        key (see :func:`_scene_keys`), which pin the tag's world
-        position and the obstruction the entry stores. A static scene's
-        compiled table supplies the terms of a key an earlier pass
-        already met; the entry itself is the pass's own. The tag position
-        itself is only computed when the geometry or the link state has
-        to be evaluated. The returned link's ``result`` is ``None`` when
-        the forward link cannot close under any plausible fading draw
-        (see :data:`MAX_FADING_HEADROOM_DB`): the tag is not energized,
-        so the fading draw and the composition are skipped and its
-        channel is dead. Otherwise ``result`` is bit-identical to what
-        the reference produces for the same round.
+        The pass's link is keyed by the tag and its carrier's scene key
+        (see :func:`_scene_keys`), which pin the tag's world position
+        and the geometry terms the link carries. A link state the stored
+        link does not match is composed on its geometry; a key the pass
+        has not met takes its geometry from the compiled scene's table
+        when an earlier pass over a static scene met it, and evaluates
+        it otherwise. The tag position itself is only computed when the
+        geometry or the link state has to be evaluated. The returned
+        link's ``result`` is ``None`` when the forward link cannot close
+        under any plausible fading draw (see
+        :data:`MAX_FADING_HEADROOM_DB`): the tag is not energized, so
+        the fading draw and the composition are skipped and its channel
+        is dead. Otherwise ``result`` is bit-identical to what the
+        reference produces for the same round.
         """
         cache = ctx.cache
         key = (tag.epc, scene.keys[id(carrier)])
-        entry = cache.geometry.get(key)
+        link = cache.links.get(key)
         tag_pos = None
-        if entry is None:
+        if link is None:
             # Still a miss when the compiled scene answers it: the
             # counters describe this pass's cache.
             cache.geometry_misses += 1
-            shared_geometry = ctx.shared_geometry
-            shared = (
-                shared_geometry.get(key) if shared_geometry is not None
-                else None
-            )
-            if shared is None:
+            table = ctx.scene.geometry
+            geometry = table.get(key) if table is not None else None
+            if geometry is None:
                 tag_pos = scene.tag_position(carrier, tag)
-                shared = self._geometry_terms(
+                geometry = self._geometry_terms(
                     scene.placed, antenna, tag, tag_pos
                 )
-                if shared_geometry is not None:
-                    shared_geometry[key] = shared
-            entry = GeometryEntry(*shared)
-            cache.geometry[key] = entry
+                if table is not None:
+                    table[key] = geometry
         else:
             cache.geometry_hits += 1
-        link = entry.link
+            geometry = link.geometry
         if (
             link is not None
             and link.reader_id == reader.reader_id
@@ -848,18 +814,18 @@ class PortalPassSimulator:
             if tag_pos is None:
                 tag_pos = scene.tag_position(carrier, tag)
             link = self._compose_cached(
-                ctx, entry, tag, tag_pos, antenna, reader,
+                ctx, geometry, tag, tag_pos, antenna, reader,
                 interference_dbm, fault_loss_db,
             )
-            entry.link = link
+            cache.links[key] = link
         if ctx.rec is not None:
-            self._record_composed(ctx, entry, link, tag, antenna, reader, t)
+            self._record_composed(ctx, link, tag, antenna, reader, t)
         return link
 
     def _compose_cached(
         self,
         ctx: _Pass,
-        entry: GeometryEntry,
+        geometry: SharedGeometry,
         tag: Tag,
         tag_pos: Tuple[float, float, float],
         antenna: AntennaInstallation,
@@ -867,14 +833,13 @@ class PortalPassSimulator:
         interference_dbm: Optional[float],
         fault_loss_db: float,
     ) -> ComposedLink:
-        """Evaluate one link state on top of its cached geometry terms."""
+        """Evaluate one link state on top of its geometry terms."""
         cache = ctx.cache
-        terms = entry.terms
-        obstruction_db = entry.obstruction_db
+        terms, obstruction_db, reflector = geometry
         shadowing_db = ctx.shadowing[(tag.epc, antenna.antenna_id)]
-        detuning_db = ctx.detuning_db[tag.epc]
-        coupling_db = ctx.coupling_db[tag.epc]
-        gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
+        detuning_db = ctx.scene.detuning_db[tag.epc]
+        coupling_db = ctx.scene.coupling_db[tag.epc]
+        gain_bonus = self.params.reflection_gain_db if reflector else 0.0
         tx_power = reader.tx_power_dbm + gain_bonus - fault_loss_db
         # Forward budget with the fading term left out: if even a +20 dB
         # fade cannot wake the chip, skip the draw and the composition.
@@ -890,11 +855,12 @@ class PortalPassSimulator:
         if forward_no_fade + MAX_FADING_HEADROOM_DB < self.env.tag_sensitivity_dbm:
             cache.short_circuits += 1
             return ComposedLink(
+                geometry,
                 reader.reader_id,
                 interference_dbm,
                 fault_loss_db,
                 None,
-                _DEAD_CHANNEL,
+                SILENT,
                 None,
                 forward_no_fade,
             )
@@ -922,6 +888,7 @@ class PortalPassSimulator:
             interference_dbm=interference_dbm,
         )
         return ComposedLink(
+            geometry,
             reader.reader_id,
             interference_dbm,
             fault_loss_db,
@@ -937,22 +904,21 @@ class PortalPassSimulator:
     def _record_composed(
         self,
         ctx: _Pass,
-        entry: GeometryEntry,
         link: ComposedLink,
         tag: Tag,
         antenna: AntennaInstallation,
         reader: ReaderAssignment,
         t: float,
     ) -> None:
-        """Emit the waterfall record of one evaluation at round time ``t``.
+        """Report one evaluation at round time ``t`` to the recording.
 
+        The waterfall record is only built when the recording keeps it.
         A short-circuited link (``link.result is None``) stops before
         the fading draw, so the composed-budget fields stay ``None``.
         Summing the record's terms (gains minus losses, fault loss and
         cable loss included) reproduces ``forward_power_dbm`` exactly.
         """
         epc = tag.epc
-        terms = entry.terms
         result = link.result
         if result is None:
             fading_db = None
@@ -962,8 +928,12 @@ class PortalPassSimulator:
         else:
             fading_db = linear_to_db(max(link.fading_gain, 1e-300))
             no_fade_margin_db = result.forward_margin_db - fading_db
-        gain_bonus = self.params.reflection_gain_db if entry.reflector else 0.0
-        ctx.rec.link(
+        rec = ctx.rec
+        if not rec.link(epc, result, link.fault_loss_db, no_fade_margin_db):
+            return
+        terms, obstruction_db, reflector = link.geometry
+        gain_bonus = self.params.reflection_gain_db if reflector else 0.0
+        rec.keep_link(
             DwellLinkRecord(
                 time=t,
                 trial=ctx.trial,
@@ -977,9 +947,9 @@ class PortalPassSimulator:
                 shadowing_db=ctx.shadowing[(epc, antenna.antenna_id)],
                 tag_gain_dbi=terms.tag_gain_dbi,
                 polarization_loss_db=terms.polarization_loss_db,
-                obstruction_db=entry.obstruction_db,
-                detuning_db=ctx.detuning_db[epc],
-                coupling_db=ctx.coupling_db[epc],
+                obstruction_db=obstruction_db,
+                detuning_db=ctx.scene.detuning_db[epc],
+                coupling_db=ctx.scene.coupling_db[epc],
                 fault_loss_db=link.fault_loss_db,
                 fading_db=fading_db,
                 interference_dbm=link.interference_dbm,
@@ -997,8 +967,7 @@ class PortalPassSimulator:
                 ),
                 energized=result.activated if result is not None else False,
                 short_circuited=result is None,
-            ),
-            no_fade_margin_db=no_fade_margin_db,
+            )
         )
 
     def _decode_probability(self, result: LinkResult) -> float:
@@ -1122,22 +1091,14 @@ class PortalPassSimulator:
                 )
 
         ctx = _Pass(
-            carriers=scene.carriers,
-            epc_index=scene.epc_index,
-            population=scene.population,
-            coupling_db=scene.coupling_db,
-            detuning_db=scene.detuning_db,
+            scene=scene,
             shadowing=shadowing,
             seeds=seeds,
             trial=trial,
-            duration=duration,
             interference_rng=seeds.trial_stream("interference", trial),
             fault_plan=fault_plan,
             cache=PassLinkCache() if self.use_link_cache else None,
             rec=rec,
-            static=scene.static,
-            interference={} if self.use_link_cache else None,
-            shared_geometry=scene.geometry if self.use_link_cache else None,
         )
         # Each reader runs its own inventory timeline; simultaneous
         # readers interfere but do not share airtime. Traces merge at
@@ -1201,7 +1162,8 @@ class PortalPassSimulator:
         """
         rec = ctx.rec
         cache = ctx.cache
-        duration = ctx.duration
+        compiled = ctx.scene
+        duration = compiled.duration
         tdma_slot_s = self.params.tdma_slot_s
         protocol_rng = ctx.seeds.trial_stream(
             f"protocol:{reader.reader_id}", ctx.trial
@@ -1216,10 +1178,10 @@ class PortalPassSimulator:
             self._evaluate_tag_cached if cache is not None
             else self._evaluate_tag
         )
-        tag_count = len(ctx.population)
+        tag_count = len(compiled.population)
         rounds = 0
         t = 0.0
-        segments = self._fault_timeline(ctx, reader)
+        segments = self._fault_timeline(ctx.fault_plan, reader)
         segment_index = 0
         segment = segments[0]
         restarts = (
@@ -1275,9 +1237,9 @@ class PortalPassSimulator:
                 slot_times: Optional[List[float]] = None
                 if rec is not None:
                     if idle is not None:
-                        for tag, entry, link in idle.links:
+                        for tag, link in idle.links:
                             self._record_composed(
-                                ctx, entry, link, tag, antenna, reader, t
+                                ctx, link, tag, antenna, reader, t
                             )
                     slot_times = []
                 elapsed = run_idle_round(
@@ -1305,9 +1267,11 @@ class PortalPassSimulator:
             scene: List[_Scene] = []
 
             def channel(epc: str) -> TagChannel:
-                carrier, tag = ctx.epc_index[epc]
+                carrier, tag = compiled.epc_index[epc]
                 if not scene:
-                    scene.append(_Scene(ctx.carriers, antenna.antenna_id, t))
+                    scene.append(
+                        _Scene(compiled.carriers, antenna.antenna_id, t)
+                    )
                 link = evaluate(
                     ctx, scene[0], carrier, tag, antenna, reader, t,
                     interference, fault_loss_db,
@@ -1339,7 +1303,7 @@ class PortalPassSimulator:
                     )
 
             round_result = run_inventory_round(
-                ctx.population,
+                compiled.population,
                 channel,
                 protocol_rng,
                 q_algo,
@@ -1368,7 +1332,7 @@ class PortalPassSimulator:
             idle = None
             if (
                 cache is not None
-                and ctx.static
+                and compiled.static
                 and scene
                 and not any(r.activated for r in last_result.values())
             ):
@@ -1391,27 +1355,28 @@ class PortalPassSimulator:
     ) -> _IdleProof:
         """The proof a round with no contender leaves for the next ones.
 
-        Every uninventoried tag was evaluated in that round, under the
-        geometry entry its scene key names; the entry keeps the link the
-        evaluation returned.
+        Every uninventoried tag was evaluated in that round: the pass
+        keeps the link the evaluation returned under its scene key.
         """
+        compiled = ctx.scene
         links = []
-        for epc in ctx.population:
+        for epc in compiled.population:
             if session.is_inventoried(epc):
                 continue
-            carrier, tag = ctx.epc_index[epc]
-            entry = ctx.cache.geometry[(epc, scene.keys[id(carrier)])]
-            links.append((tag, entry, entry.link))
+            carrier, tag = compiled.epc_index[epc]
+            links.append(
+                (tag, ctx.cache.links[(epc, scene.keys[id(carrier)])])
+            )
         return _IdleProof(
             antenna,
             interference_dbm,
             fault_loss_db,
             links,
-            sum(1 for _, _, link in links if link.result is None),
+            sum(1 for _, link in links if link.result is None),
         )
 
     def _fault_timeline(
-        self, ctx: _Pass, reader: ReaderAssignment
+        self, plan: Optional["FaultPlan"], reader: ReaderAssignment
     ) -> List[_Segment]:
         """Compile the fault plan into this reader's piecewise timeline.
 
@@ -1423,7 +1388,6 @@ class PortalPassSimulator:
         """
         antennas = tuple(reader.antennas)
         others = self._other_radios(reader)
-        plan = ctx.fault_plan
         if plan is None:
             return [
                 _Segment(
@@ -1515,8 +1479,8 @@ class PortalPassSimulator:
 
         Live aggressors cost one co-channel Bernoulli on the pass's
         interference stream per inventory round; the Friis sum for the
-        outcome is memoized per pass on the cached path. An ambient
-        burst adds on top.
+        outcome is memoized in the pass's link cache. An ambient burst
+        adds on top.
         """
         interference = None
         if segment.live_radios:
@@ -1524,7 +1488,7 @@ class PortalPassSimulator:
                 self.params.co_channel_probability
             )
             key = (reader.reader_id, antenna.antenna_id, segment.live_key, co_channel)
-            memo = ctx.interference
+            memo = ctx.cache.interference if ctx.cache is not None else None
             if memo is not None and key in memo:
                 interference = memo[key]
             else:

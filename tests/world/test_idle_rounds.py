@@ -376,6 +376,37 @@ class TestFastPathFires:
         assert 0 < len(calls) == len(keys) < result.rounds
 
 
+class TestLinkRecordsBuiltWhenKept:
+    """A waterfall record is built only when the recording keeps it."""
+
+    @pytest.mark.parametrize("detail", [False, True])
+    @pytest.mark.parametrize("name", ["screened-plane", "failover-walk"])
+    def test_one_record_per_kept_evaluation(self, monkeypatch, name, detail):
+        built = _counting(monkeypatch, "DwellLinkRecord")
+        replayed = []
+        replay = simulation._IdleProof.replay
+
+        def counting_replay(proof, cache):
+            replayed.append(len(proof.links))
+            return replay(proof, cache)
+
+        monkeypatch.setattr(simulation._IdleProof, "replay", counting_replay)
+        (result,), _ = _run(
+            PARITY_SCENES[name][0](), True, 1, lambda: Recorder(detail=detail)
+        )
+        evaluations = result.obs.metrics.get("pass.link_evals").value
+        assert evaluations > 0
+        if name == "screened-plane":
+            # The screened tags stay dark: idle rounds replay their links.
+            assert sum(replayed) > 0
+        if detail:
+            assert len(built) == evaluations
+            assert len(result.obs.link_records) == evaluations
+        else:
+            assert built == []
+            assert result.obs.link_records == ()
+
+
 class TestBoundaries:
     @pytest.mark.parametrize("distance_m", [1.0, 3.0])
     def test_restart_inside_idle_run_rereads_at_reference_time(
@@ -413,16 +444,9 @@ class TestFaultTimeline:
         )
         times = [i / 200.0 for i in range(401)]
         times += [e + d for e in edges for d in (-1e-9, 0.0, delay, delay + 1e-9)]
-        ctx = simulation._Pass(
-            carriers=task.carriers, epc_index={}, population=[],
-            coupling_db={}, detuning_db={}, shadowing={},
-            seeds=SeedSequence(SEED), trial=0, duration=2.0,
-            interference_rng=None, fault_plan=plan, cache=None, rec=None,
-            static=True, interference=None,
-        )
         owner = {a.antenna_id: r for r in sim.portal.readers for a in r.antennas}
         for reader in sim.portal.readers:
-            segments = sim._fault_timeline(ctx, reader)
+            segments = sim._fault_timeline(plan, reader)
             others = [r for r in sim.portal.readers if r is not reader]
             for t in sorted(x for x in times if x >= 0.0):
                 segment = next(s for s in segments if t < s.end)
