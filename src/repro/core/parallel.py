@@ -14,7 +14,8 @@ no mutable state at all: running them in worker processes produces
 * :class:`PassTrialTask` — a picklable trial callable wrapping
   :meth:`~repro.world.simulation.PortalPassSimulator.run_pass`;
   closures cannot cross a process boundary, and fanning one out raises
-  the pickling error;
+  the pickling error. Its compile-once scene
+  (:class:`CompiledSceneTask`) is shared with the supervised-pass task;
 * :func:`_chunk_bounds` / :func:`_run_trial_chunk_timed` — the
   contiguous trial blocks the pool runs, each outcome shipped home
   with its trial index and wall time.
@@ -43,8 +44,37 @@ def resolve_workers(workers: Optional[int]) -> int:
     return max(1, workers)
 
 
+class CompiledSceneTask:
+    """Compile-once scene for a frozen trial task.
+
+    A subclass is a frozen dataclass with ``simulator`` and
+    ``carriers`` fields. The first :meth:`scene` call in each process
+    compiles the carriers
+    (:meth:`~repro.world.simulation.PortalPassSimulator.compile`) and
+    every later call returns that scene. The scene is not a field: it
+    stays out of the task's pickle, equality and
+    :func:`dataclasses.replace`, so a worker compiles once per chunk it
+    receives and the parent never compiles a call it fans out.
+    """
+
+    #: The compiled scene, set by the first call in this process.
+    _scene = None
+
+    def scene(self) -> Any:
+        scene = self._scene
+        if scene is None:
+            scene = self.simulator.compile(self.carriers)
+            object.__setattr__(self, "_scene", scene)
+        return scene
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_scene", None)
+        return state
+
+
 @dataclass(frozen=True)
-class PassTrialTask:
+class PassTrialTask(CompiledSceneTask):
     """A picklable trial callable: one seeded portal pass per trial.
 
     This is the parallel-safe replacement for the per-scenario
@@ -53,36 +83,18 @@ class PassTrialTask:
     worker processes wholesale; the per-trial
     :class:`~repro.sim.rng.SeedSequence` is reconstructed in the worker
     from the root seed, which is what makes the fan-out bit-identical
-    to the serial loop.
-
-    The first call in each process compiles the carriers
-    (:meth:`~repro.world.simulation.PortalPassSimulator.compile`) and
-    every later call runs on that scene. The scene is not a field: it
-    stays out of the task's pickle, equality and
-    :func:`dataclasses.replace`, so a worker compiles once per chunk it
-    receives and the parent never compiles a call it fans out.
+    to the serial loop. Every pass runs on the task's compiled
+    :meth:`~CompiledSceneTask.scene`.
     """
 
     simulator: Any
     carriers: Tuple[Any, ...]
     fault_plan: Any = None
 
-    #: The compiled scene, set by the first call in this process.
-    _scene = None
-
     def __call__(self, seeds: SeedSequence, trial: int) -> Any:
-        scene = self._scene
-        if scene is None:
-            scene = self.simulator.compile(self.carriers)
-            object.__setattr__(self, "_scene", scene)
         return self.simulator.run_pass(
-            scene, seeds, trial, fault_plan=self.fault_plan
+            self.scene(), seeds, trial, fault_plan=self.fault_plan
         )
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_scene", None)
-        return state
 
 
 def _run_trial_chunk_timed(

@@ -46,9 +46,10 @@ read, by this precedence:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..rf.link import LinkResult
+from ..sim.events import SlotOutcome
 from ..sim.rng import RandomStream, SeedSequence
 from .metrics import MARGIN_EDGES_DB, Counter, MetricsRegistry
 from .records import (
@@ -164,12 +165,12 @@ class PassRecording:
         #: registry's names, and their order, what the hooks make them.
         self._counters: Dict[str, Counter] = {}
 
-    def _count(self, name: str) -> None:
-        """Add one to the per-pass counter ``name``."""
+    def _count(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the per-pass counter ``name``."""
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = self._metrics.counter(name)
-        counter.inc()
+        counter.inc(amount)
 
     def _aggregate(self, epc: str) -> _TagAggregate:
         agg = self._aggregates.get(epc)
@@ -231,44 +232,63 @@ class PassRecording:
         """Keep the record of the evaluation :meth:`link` just accepted."""
         self._link_records.append(record)
 
-    def slot(
-        self,
-        time: float,
-        reader_id: str,
-        antenna_id: str,
-        slot_index: int,
-        responders: Tuple[str, ...],
-        outcome: str,
-        winner: Optional[str],
+    def round(
+        self, reader_id: str, antenna_id: str, slots: Sequence[SlotOutcome]
     ) -> None:
-        """One inventory slot, with responder identities."""
-        if outcome == "collision":
-            if len(responders) >= 2:
-                for epc in responders:
-                    self._aggregate(epc).collision_slots += 1
-                self._count("pass.collision_slots")
-            elif len(responders) == 1:
-                # A garbled solo reply: the reader files it as a
-                # collision, but nobody else was on the air.
-                self._aggregate(responders[0]).solo_garbled_slots += 1
-                self._count("pass.garbled_slots")
-        elif outcome == "success":
-            self._count("pass.success_slots")
-        else:
-            self._count("pass.empty_slots")
-        if self.detail:
-            self._slot_records.append(
-                SlotRecord(
-                    time=time,
-                    trial=self.trial,
-                    reader_id=reader_id,
-                    antenna_id=antenna_id,
-                    slot_index=slot_index,
-                    responders=responders,
-                    outcome=outcome,
-                    winner=winner,
+        """One full inventory round: the slots it returned, in order."""
+        for slot in slots:
+            responders = slot.responders
+            outcome = slot.kind
+            if outcome == "collision":
+                if len(responders) >= 2:
+                    for epc in responders:
+                        self._aggregate(epc).collision_slots += 1
+                    self._count("pass.collision_slots")
+                else:
+                    # A garbled solo reply: the reader files it as a
+                    # collision, but nobody else was on the air.
+                    self._aggregate(responders[0]).solo_garbled_slots += 1
+                    self._count("pass.garbled_slots")
+            elif outcome == "success":
+                self._count("pass.success_slots")
+            else:
+                self._count("pass.empty_slots")
+            if self.detail:
+                self._slot_records.append(
+                    SlotRecord(
+                        time=slot.time,
+                        trial=self.trial,
+                        reader_id=reader_id,
+                        antenna_id=antenna_id,
+                        slot_index=slot.slot_index,
+                        responders=responders,
+                        outcome=outcome,
+                        winner=slot.epc,
+                    )
                 )
-            )
+        self._count("pass.rounds")
+
+    def idle_round(
+        self, reader_id: str, antenna_id: str, slot_times: Sequence[float]
+    ) -> None:
+        """A round in which no tag contended: the start time of each of
+        its empty slots."""
+        if slot_times:
+            self._count("pass.empty_slots", len(slot_times))
+            if self.detail:
+                self._slot_records.extend(
+                    SlotRecord(
+                        time=time,
+                        trial=self.trial,
+                        reader_id=reader_id,
+                        antenna_id=antenna_id,
+                        slot_index=index,
+                        responders=(),
+                        outcome="empty",
+                    )
+                    for index, time in enumerate(slot_times)
+                )
+        self._count("pass.rounds")
 
     def masked_dwell(
         self,
@@ -289,9 +309,6 @@ class PassRecording:
                 reason=reason,
             )
         )
-
-    def round_complete(self) -> None:
-        self._count("pass.rounds")
 
     def rng_stream(self, name: str, seed: int) -> None:
         self._rng.append(RngStreamRecord(trial=self.trial, name=name, seed=seed))

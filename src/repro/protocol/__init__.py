@@ -40,7 +40,6 @@ from .gen2 import (
     InventoryResult,
     InventorySession,
     QAlgorithm,
-    SlotObserver,
     TagChannel,
     inventory_until,
     run_inventory_round,
@@ -126,7 +125,6 @@ __all__ = [
     "InventoryResult",
     "InventorySession",
     "QAlgorithm",
-    "SlotObserver",
     "TagChannel",
     "inventory_until",
     "run_inventory_round",

@@ -85,25 +85,25 @@ def run_aloha_frame(
         responders = [e for e, c in counters.items() if c == slot_index]
         slot_time = start_time + elapsed
         if not responders:
-            result.slots.append(SlotOutcome(slot_time, slot_index, 0))
+            result.slots.append(SlotOutcome(slot_time, slot_index, ()))
             elapsed += timing.empty_slot_s
         elif len(responders) == 1:
             epc = responders[0]
             decode_p = contenders[epc]
             if rng.bernoulli(decode_p) and rng.bernoulli(decode_p):
                 result.slots.append(
-                    SlotOutcome(slot_time, slot_index, 1, epc=epc)
+                    SlotOutcome(slot_time, slot_index, (epc,), epc=epc)
                 )
                 result.read_epcs.append(epc)
                 result.read_times[epc] = slot_time
                 read_set.add(epc)
                 elapsed += timing.success_slot_s
             else:
-                result.slots.append(SlotOutcome(slot_time, slot_index, 1))
+                result.slots.append(SlotOutcome(slot_time, slot_index, (epc,)))
                 elapsed += timing.collision_slot_s
         else:
             result.slots.append(
-                SlotOutcome(slot_time, slot_index, len(responders))
+                SlotOutcome(slot_time, slot_index, tuple(responders))
             )
             elapsed += timing.collision_slot_s
     result.duration_s = elapsed

@@ -18,7 +18,7 @@ conveyor passes (Figure 4), and portal dwells (Tables 1-5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..sim.events import SlotOutcome
 from ..sim.rng import RandomStream
@@ -51,13 +51,6 @@ class TagChannel:
 
 #: World-model hook: ``channel(epc) -> TagChannel`` for the current attempt.
 ChannelFn = Callable[[str], TagChannel]
-
-#: Observability hook: called once per slot with the outcome and the
-#: EPCs that actually responded in it — identity the air interface
-#: hides from the reader (a collision is anonymous on real hardware,
-#: but the simulator knows who collided). ``None`` (the default) costs
-#: one identity check per slot and nothing else.
-SlotObserver = Callable[[SlotOutcome, Tuple[str, ...]], None]
 
 SILENT = TagChannel(energized=False, reply_decode_p=0.0)
 """Channel state of a tag that is out of the field entirely."""
@@ -167,7 +160,6 @@ def run_inventory_round(
     start_time: float = 0.0,
     time_budget_s: Optional[float] = None,
     capture_probability: float = 0.1,
-    slot_observer: Optional[SlotObserver] = None,
 ) -> InventoryResult:
     """Run one full inventory round (one Query + its slots).
 
@@ -196,16 +188,12 @@ def run_inventory_round(
     capture_probability:
         Probability that the strongest replier of a 2-tag collision is
         captured and decoded anyway (receiver capture effect).
-    slot_observer:
-        Optional :data:`SlotObserver` invoked once per slot with the
-        responder EPCs; used by the observability layer to attribute
-        misses to collisions. Never consulted for randomness, so
-        enabling it cannot perturb the run.
 
     Returns
     -------
     InventoryResult
-        Reads, per-slot outcomes, and airtime consumed by this round.
+        Reads, per-slot outcomes (with their responder EPCs), and
+        airtime consumed by this round.
     """
     if not 0.0 <= capture_probability <= 1.0:
         raise ValueError(
@@ -237,10 +225,7 @@ def run_inventory_round(
         responders = [epc for epc, ctr in counters.items() if ctr == slot_index]
         slot_time = start_time + elapsed
         if not responders:
-            outcome = SlotOutcome(slot_time, slot_index, 0)
-            result.slots.append(outcome)
-            if slot_observer is not None:
-                slot_observer(outcome, ())
+            result.slots.append(SlotOutcome(slot_time, slot_index, ()))
             q_algo.on_empty()
             elapsed += timing.empty_slot_s
             continue
@@ -253,10 +238,9 @@ def run_inventory_round(
             if len(responders) == 2 and rng.bernoulli(capture_probability):
                 winner = max(responders, key=lambda e: contenders[e].reply_decode_p)
             if winner is None:
-                outcome = SlotOutcome(slot_time, slot_index, len(responders))
-                result.slots.append(outcome)
-                if slot_observer is not None:
-                    slot_observer(outcome, tuple(responders))
+                result.slots.append(
+                    SlotOutcome(slot_time, slot_index, tuple(responders))
+                )
                 q_algo.on_collision()
                 elapsed += timing.collision_slot_s
                 continue
@@ -266,12 +250,9 @@ def run_inventory_round(
         rn16_ok = rng.bernoulli(decode_p)
         epc_ok = rn16_ok and rng.bernoulli(decode_p)
         if epc_ok:
-            outcome = SlotOutcome(
-                slot_time, slot_index, len(responders), epc=winner
+            result.slots.append(
+                SlotOutcome(slot_time, slot_index, tuple(responders), winner)
             )
-            result.slots.append(outcome)
-            if slot_observer is not None:
-                slot_observer(outcome, tuple(responders))
             result.read_epcs.append(winner)
             result.read_times[winner] = slot_time
             if session is not None:
@@ -280,10 +261,9 @@ def run_inventory_round(
             elapsed += timing.success_slot_s
         else:
             # A garbled reply looks like a collision to the reader.
-            outcome = SlotOutcome(slot_time, slot_index, len(responders))
-            result.slots.append(outcome)
-            if slot_observer is not None:
-                slot_observer(outcome, tuple(responders))
+            result.slots.append(
+                SlotOutcome(slot_time, slot_index, tuple(responders))
+            )
             q_algo.on_collision()
             elapsed += timing.collision_slot_s
 
@@ -328,7 +308,6 @@ def inventory_until(
     timing: Gen2Timing = DEFAULT_TIMING,
     start_time: float = 0.0,
     capture_probability: float = 0.1,
-    slot_observer: Optional[SlotObserver] = None,
 ) -> InventoryResult:
     """Run back-to-back inventory rounds until a time budget is spent.
 
@@ -355,7 +334,6 @@ def inventory_until(
             start_time=start_time + elapsed,
             time_budget_s=time_budget_s - elapsed,
             capture_probability=capture_probability,
-            slot_observer=slot_observer,
         )
         total.read_epcs.extend(round_result.read_epcs)
         total.read_times.update(round_result.read_times)

@@ -107,7 +107,7 @@ def inventory_tree(
         slot_time = start_time + elapsed
         result.rounds += 1
         if not responders:
-            result.slots.append(SlotOutcome(slot_time, walk.queries, 0))
+            result.slots.append(SlotOutcome(slot_time, walk.queries, ()))
             elapsed += timing.empty_slot_s
             continue
         if len(responders) == 1:
@@ -115,13 +115,15 @@ def inventory_tree(
             decode_p = energized[epc]
             if rng.bernoulli(decode_p) and rng.bernoulli(decode_p):
                 result.slots.append(
-                    SlotOutcome(slot_time, walk.queries, 1, epc=epc)
+                    SlotOutcome(slot_time, walk.queries, (epc,), epc=epc)
                 )
                 result.read_epcs.append(epc)
                 result.read_times[epc] = slot_time
                 elapsed += timing.success_slot_s
             else:
-                result.slots.append(SlotOutcome(slot_time, walk.queries, 1))
+                result.slots.append(
+                    SlotOutcome(slot_time, walk.queries, (epc,))
+                )
                 elapsed += timing.collision_slot_s
                 if retries > 0:
                     stack.append((prefix, retries - 1))
@@ -129,7 +131,7 @@ def inventory_tree(
         # Collision: split the prefix.
         walk.collisions += 1
         result.slots.append(
-            SlotOutcome(slot_time, walk.queries, len(responders))
+            SlotOutcome(slot_time, walk.queries, tuple(responders))
         )
         elapsed += timing.collision_slot_s
         if len(prefix) < 96:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..sim.events import TagReadEvent
 from .wire import PollOrderError, TransportError, WireFormatError, parse_tag_list
@@ -124,7 +124,6 @@ class SupervisedReader:
         reader_id: str,
         transport,
         policy: Optional[RetryPolicy] = None,
-        on_transition: Optional[Callable[[HealthTransition], None]] = None,
     ) -> None:
         if not reader_id:
             raise SupervisorError("reader_id must be non-empty")
@@ -136,10 +135,6 @@ class SupervisedReader:
         self._clock = float("-inf")
         self.transitions: List[HealthTransition] = []
         self.stats = PollStats()
-        #: Observability callback fired on every health transition (in
-        #: addition to the :attr:`transitions` log). ``None`` costs one
-        #: identity test per transition — nothing on the poll path.
-        self.on_transition = on_transition
 
     @property
     def health(self) -> ReaderHealth:
@@ -212,8 +207,6 @@ class SupervisedReader:
         )
         self.transitions.append(transition)
         self._health = new
-        if self.on_transition is not None:
-            self.on_transition(transition)
 
 
 @dataclass(frozen=True)
@@ -238,11 +231,7 @@ class ReaderFailoverGroup:
     failback flapping.
     """
 
-    def __init__(
-        self,
-        readers: Sequence[SupervisedReader],
-        on_promotion: Optional[Callable[[Promotion], None]] = None,
-    ) -> None:
+    def __init__(self, readers: Sequence[SupervisedReader]) -> None:
         if not readers:
             raise SupervisorError("a failover group needs >= 1 reader")
         ids = [r.reader_id for r in readers]
@@ -250,10 +239,11 @@ class ReaderFailoverGroup:
             raise SupervisorError(f"duplicate reader ids in group: {ids}")
         self._readers = list(readers)
         self._active = ids[0]
-        self.promotions: List[Promotion] = []
-        #: Observability callback fired on every failover promotion (in
-        #: addition to the :attr:`promotions` log).
-        self.on_promotion = on_promotion
+        #: Every member's health transition and every promotion, in the
+        #: order they happened.
+        self.history: List[Union[HealthTransition, Promotion]] = []
+        #: How many of each member's transitions are in the history.
+        self._seen = [0] * len(self._readers)
 
     @property
     def active_reader_id(self) -> str:
@@ -262,6 +252,11 @@ class ReaderFailoverGroup:
     @property
     def readers(self) -> List[SupervisedReader]:
         return list(self._readers)
+
+    @property
+    def promotions(self) -> List[Promotion]:
+        """Every failover so far, in order."""
+        return [e for e in self.history if isinstance(e, Promotion)]
 
     def health(self) -> Dict[str, ReaderHealth]:
         return {r.reader_id: r.health for r in self._readers}
@@ -289,8 +284,11 @@ class ReaderFailoverGroup:
     def poll(self, now: float) -> List[TagReadEvent]:
         """Poll every member, union the events, run failover checks."""
         events: List[TagReadEvent] = []
-        for reader in self._readers:
+        for index, reader in enumerate(self._readers):
             events.extend(reader.poll(now))
+            transitions = reader.transitions
+            self.history.extend(transitions[self._seen[index]:])
+            self._seen[index] = len(transitions)
         self._maybe_promote(now)
         events.sort(key=lambda e: (e.time, e.epc))
         return events
@@ -301,15 +299,10 @@ class ReaderFailoverGroup:
             return
         for reader in self._readers:
             if reader.health is not ReaderHealth.DOWN:
-                promotion = Promotion(
-                    time=now,
-                    from_reader=self._active,
-                    to_reader=reader.reader_id,
+                self.history.append(
+                    Promotion(now, self._active, reader.reader_id)
                 )
-                self.promotions.append(promotion)
                 self._active = reader.reader_id
-                if self.on_promotion is not None:
-                    self.on_promotion(promotion)
                 return
         # Everyone is down; keep the stale assignment (nothing to do).
 

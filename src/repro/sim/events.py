@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,23 @@ class TagReadEvent:
 
 @dataclass(frozen=True)
 class SlotOutcome:
-    """Result of one ALOHA slot during an inventory round."""
+    """Result of one ALOHA slot during an inventory round.
+
+    ``responders`` are the EPCs that replied in the slot — identity the
+    air interface hides from the reader (a collision is anonymous on
+    real hardware), which the observability layer uses to attribute
+    misses to collisions. ``epc`` is the tag the slot singulated.
+    """
 
     time: float
     slot_index: int
-    responders: int
+    responders: Tuple[str, ...]
     epc: Optional[str] = None
 
     @property
     def kind(self) -> str:
         """One of ``"empty"``, ``"success"``, ``"collision"``."""
-        if self.responders == 0:
+        if not self.responders:
             return "empty"
         if self.epc is not None:
             return "success"

@@ -23,10 +23,11 @@ root seed, so runs replay bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ...core.calibration import PaperSetup
 from ...core.experiment import DEFAULT_SEED, run_trials, stable_hash
+from ...core.parallel import CompiledSceneTask
 from ...core.reliability import ReliabilityEstimate
 from ...faults import FaultPlan, FaultyTransport, ReaderCrash
 from ...obs.recorder import PassObservation, Recorder
@@ -43,7 +44,7 @@ from ...reader.wire import PolledInterface
 from ...sim.rng import SeedSequence
 from ..humans import HumanTagPlacement
 from ..portal import Portal, failover_portal, single_antenna_portal
-from ..simulation import CarrierGroup, PortalPassSimulator
+from ..simulation import CarrierGroup, CompiledScene, PortalPassSimulator
 from .human_tracking import build_walk
 
 PAPER_REPETITIONS = 20
@@ -215,7 +216,7 @@ def primary_crash_plan(
 
 def run_supervised_pass(
     simulator: PortalPassSimulator,
-    carriers: Sequence,
+    carriers: Union[Sequence[CarrierGroup], CompiledScene],
     registry: ObjectRegistry,
     object_id: str,
     seeds: SeedSequence,
@@ -230,42 +231,10 @@ def run_supervised_pass(
     trace; per-reader buffers get wrapped in fault-injecting transports;
     a :class:`ReaderFailoverGroup` polls them on the application cadence;
     and the back-end renders a coverage-aware tracking decision.
+    ``carriers`` is whatever
+    :meth:`~repro.world.simulation.PortalPassSimulator.run_pass` takes.
     """
     result = simulator.run_pass(carriers, seeds, trial, fault_plan=plan)
-
-    # When the pass was recorded, fold the supervision layer's
-    # lifecycle events into the same observation via the supervisor's
-    # observer callbacks — never by consuming RNG or touching state.
-    sup_records: List[SupervisorRecord] = []
-    on_transition = None
-    on_promotion = None
-    if result.obs is not None:
-
-        def on_transition(tr: HealthTransition) -> None:
-            sup_records.append(
-                SupervisorRecord(
-                    time=tr.time,
-                    trial=trial,
-                    reader_id=tr.reader_id,
-                    kind="health",
-                    old=tr.old.value,
-                    new=tr.new.value,
-                    reason=tr.reason,
-                )
-            )
-
-        def on_promotion(promotion: Promotion) -> None:
-            sup_records.append(
-                SupervisorRecord(
-                    time=promotion.time,
-                    trial=trial,
-                    reader_id=promotion.to_reader,
-                    kind="promotion",
-                    old=promotion.from_reader,
-                    new=promotion.to_reader,
-                    reason="failover",
-                )
-            )
 
     readers: List[SupervisedReader] = []
     for assignment in simulator.portal.readers:
@@ -284,13 +253,8 @@ def run_supervised_pass(
                 f"transport:{assignment.reader_id}", trial
             ),
         )
-        readers.append(
-            SupervisedReader(
-                assignment.reader_id, transport, policy,
-                on_transition=on_transition,
-            )
-        )
-    group = ReaderFailoverGroup(readers, on_promotion=on_promotion)
+        readers.append(SupervisedReader(assignment.reader_id, transport, policy))
+    group = ReaderFailoverGroup(readers)
     backend = TrackingBackend(registry)
     t = poll_interval_s
     # Poll through the pass, then once more to drain stragglers (and
@@ -300,15 +264,19 @@ def run_supervised_pass(
         t += poll_interval_s
     decision = backend.decide(coverage=result.coverage)[object_id]
 
+    # A recorded pass folds the supervision layer's lifecycle events,
+    # read from the group's log, into the same observation.
     observation = result.obs
-    if observation is not None and sup_records:
+    if observation is not None and group.history:
+        records = tuple(
+            _supervisor_record(event, trial) for event in group.history
+        )
         observation.metrics.counter("pass.supervisor_events").inc(
-            len(sup_records)
+            len(records)
         )
         observation = replace(
             observation,
-            supervisor_records=observation.supervisor_records
-            + tuple(sup_records),
+            supervisor_records=observation.supervisor_records + records,
         )
 
     return SupervisedTrialOutcome(
@@ -323,15 +291,41 @@ def run_supervised_pass(
     )
 
 
+def _supervisor_record(
+    event: Union[HealthTransition, Promotion], trial: int
+) -> SupervisorRecord:
+    """The observability record of one supervision-log entry."""
+    if isinstance(event, Promotion):
+        return SupervisorRecord(
+            time=event.time,
+            trial=trial,
+            reader_id=event.to_reader,
+            kind="promotion",
+            old=event.from_reader,
+            new=event.to_reader,
+            reason="failover",
+        )
+    return SupervisorRecord(
+        time=event.time,
+        trial=trial,
+        reader_id=event.reader_id,
+        kind="health",
+        old=event.old.value,
+        new=event.new.value,
+        reason=event.reason,
+    )
+
+
 @dataclass(frozen=True)
-class SupervisedPassTask:
+class SupervisedPassTask(CompiledSceneTask):
     """Picklable trial callable: one pass through the supervised stack.
 
     The parallel-capable counterpart of the per-cell closure around
     :func:`run_supervised_pass` — every field is a plain dataclass (the
     plan factory above replaces the original lambdas), so the whole
     cell ships to worker processes and fans out with bit-identical
-    outcomes.
+    outcomes. Every pass runs on the task's compiled
+    :meth:`~repro.core.parallel.CompiledSceneTask.scene`.
     """
 
     simulator: PortalPassSimulator
@@ -345,11 +339,11 @@ class SupervisedPassTask:
     def __call__(
         self, seeds: SeedSequence, trial: int
     ) -> SupervisedTrialOutcome:
-        duration = max(c.motion.duration_s for c in self.carriers)
-        plan = self.plan_factory(seeds, trial, duration)
+        scene = self.scene()
+        plan = self.plan_factory(seeds, trial, scene.duration)
         return run_supervised_pass(
             self.simulator,
-            list(self.carriers),
+            scene,
             self.registry,
             self.object_id,
             seeds,

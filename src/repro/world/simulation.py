@@ -422,6 +422,8 @@ class _Segment:
     live_key: Tuple[str, ...]
     #: Strongest ambient interference burst, if one is on.
     burst_dbm: Optional[float]
+    #: This reader's crash restart falls at the segment's start.
+    restart: bool = False
 
 
 @dataclass(slots=True)
@@ -1156,8 +1158,9 @@ class PortalPassSimulator:
         charges their airtime, but builds no closure, runs no inventory
         round and evaluates no link. A round is idle when the session
         has inventoried every tag, or when an :class:`_IdleProof` from
-        the last round still holds. Its co-channel draw, cache counters
-        and recorder hooks are the ones the full round would have made.
+        the last round still holds. Its co-channel draw and cache
+        counters are the ones the full round would have made, and the
+        recorder gets the same link evaluations and empty slots.
         The reference path (``use_link_cache=False``) runs every round.
         """
         rec = ctx.rec
@@ -1184,28 +1187,20 @@ class PortalPassSimulator:
         segments = self._fault_timeline(ctx.fault_plan, reader)
         segment_index = 0
         segment = segments[0]
-        restarts = (
-            [] if ctx.fault_plan is None
-            else [
-                c.down_until
-                for c in ctx.fault_plan.crash_restarts(reader.reader_id)
-            ]
-        )
-        restart_cursor = 0
         idle: Optional[_IdleProof] = None
 
         while t < duration:
-            # A power-cycled reader comes back with a fresh inventory
-            # session: its carrier dropped, so the tags' S0 flags (and,
-            # over a seconds-long reboot, S1 persistence) lapse, and
-            # previously read tags answer again.
-            while restart_cursor < len(restarts) and t >= restarts[restart_cursor]:
-                session.reset()
-                idle = None
-                restart_cursor += 1
             while t >= segment.end:
                 segment_index += 1
                 segment = segments[segment_index]
+                if segment.restart:
+                    # A power-cycled reader comes back with a fresh
+                    # inventory session: its carrier dropped, so the
+                    # tags' S0 flags (and, over a seconds-long reboot,
+                    # S1 persistence) lapse, and previously read tags
+                    # answer again.
+                    session.reset()
+                    idle = None
             if segment.down:
                 # Crashed or hung: no inventory, no airtime, no reads.
                 if rec is not None:
@@ -1247,17 +1242,9 @@ class PortalPassSimulator:
                 )
                 rounds += 1
                 if rec is not None:
-                    for index, slot_time in enumerate(slot_times):
-                        rec.slot(
-                            slot_time,
-                            reader.reader_id,
-                            antenna.antenna_id,
-                            index,
-                            (),
-                            "empty",
-                            None,
-                        )
-                    rec.round_complete()
+                    rec.idle_round(
+                        reader.reader_id, antenna.antenna_id, slot_times
+                    )
                 t += max(elapsed, self.timing.query_s)
                 continue
 
@@ -1283,25 +1270,6 @@ class PortalPassSimulator:
                     last_result[epc] = link.result
                 return link.channel
 
-            slot_observer = None
-            if rec is not None:
-                def slot_observer(
-                    outcome,
-                    responders,
-                    _rec=rec,
-                    _reader_id=reader.reader_id,
-                    _antenna_id=antenna.antenna_id,
-                ):
-                    _rec.slot(
-                        outcome.time,
-                        _reader_id,
-                        _antenna_id,
-                        outcome.slot_index,
-                        responders,
-                        outcome.kind,
-                        outcome.epc,
-                    )
-
             round_result = run_inventory_round(
                 compiled.population,
                 channel,
@@ -1312,11 +1280,12 @@ class PortalPassSimulator:
                 start_time=t,
                 time_budget_s=duration - t,
                 capture_probability=self.params.capture_probability,
-                slot_observer=slot_observer,
             )
             rounds += 1
             if rec is not None:
-                rec.round_complete()
+                rec.round(
+                    reader.reader_id, antenna.antenna_id, round_result.slots
+                )
             for epc in round_result.read_epcs:
                 result = last_result.get(epc)
                 rssi = result.reverse_power_dbm if result else -99.0
@@ -1416,8 +1385,11 @@ class PortalPassSimulator:
                 if start + delay < end:
                     takeovers.append((backup, start + delay, end))
 
-        # The plan owns its own change points; a takeover window adds
-        # the detection delay past an outage start.
+        restarts = {
+            c.down_until for c in plan.crash_restarts(reader.reader_id)
+        }
+        # The plan owns its own change points, restarts among them; a
+        # takeover window adds the detection delay past an outage start.
         starts = sorted(
             set(plan.change_points(reader.reader_id))
             | {x for _, lo, hi in takeovers for x in (lo, hi) if x < math.inf}
@@ -1446,6 +1418,7 @@ class PortalPassSimulator:
                     live_radios=live,
                     live_key=tuple(r.reader_id for r in live),
                     burst_dbm=plan.interference_dbm_at(start),
+                    restart=start in restarts,
                 )
             )
         return segments

@@ -20,6 +20,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.core.calibration import PaperSetup
 from repro.faults.plan import AntennaFault, FaultPlan
 from repro.obs import MissCause, Recorder
@@ -169,7 +171,7 @@ def test_every_miss_has_exactly_one_cause():
 # --------------------------------------------------------------------
 
 _seeds = st.integers(min_value=0, max_value=2**31 - 1)
-_few_examples = settings(max_examples=10, deadline=None)
+_few_examples = settings(max_examples=examples(10), deadline=None)
 
 
 def _assert_partition(obs):

@@ -12,6 +12,7 @@ from repro.obs import Recorder, TracingSeedSequence
 from repro.obs import recorder as recorder_module
 from repro.protocol.epc import EpcFactory
 from repro.rf.geometry import Vec3
+from repro.sim.events import SlotOutcome
 from repro.sim.rng import SeedSequence
 from repro.world.humans import HumanTagPlacement
 from repro.world.motion import LinearPass, StationaryPlacement
@@ -153,6 +154,75 @@ class TestObservation:
             assert abs(total - record.forward_power_dbm) < 1e-9
             checked += 1
         assert checked > 0
+
+
+class TestRoundHooks:
+    """``round`` reads a round's returned slots; ``idle_round`` takes
+    only the empty slots' times and must leave the same trace."""
+
+    A, B = "A" * 24, "B" * 24
+
+    def _slots(self):
+        return [
+            SlotOutcome(0.1, 0, ()),
+            SlotOutcome(0.2, 1, (self.A, self.B)),
+            SlotOutcome(0.3, 2, (self.A,)),
+            SlotOutcome(0.4, 3, (self.B,), self.B),
+        ]
+
+    def test_round_counts_and_records_each_slot(self):
+        rec = Recorder(detail=True).begin_pass(7)
+        rec.round("reader-0", "ant-0", self._slots())
+        obs = rec.finalize((self.A, self.B), {self.B}, {}, {}, 6.0, False)
+        # Declaration order (first use), which pickles and digests see.
+        assert list(obs.metrics._metrics) == [
+            "pass.forward_margin_db",
+            "pass.reverse_margin_db",
+            "pass.empty_slots",
+            "pass.collision_slots",
+            "pass.garbled_slots",
+            "pass.success_slots",
+            "pass.rounds",
+            "pass.miss.collision",
+            "pass.tags_read",
+        ]
+        assert [
+            (r.trial, r.slot_index, r.responders, r.outcome, r.winner)
+            for r in obs.slot_records
+        ] == [
+            (7, 0, (), "empty", None),
+            (7, 1, (self.A, self.B), "collision", None),
+            (7, 2, (self.A,), "collision", None),
+            (7, 3, (self.B,), "success", self.B),
+        ]
+        outcome = obs.outcome_for(self.A)
+        assert (outcome.collision_slots, outcome.solo_garbled_slots) == (1, 1)
+
+    @pytest.mark.parametrize("detail", [False, True])
+    def test_idle_round_matches_a_round_of_empty_slots(self, detail):
+        times = [0.5, 0.6, 0.7]
+        idle = Recorder(detail=detail).begin_pass(0)
+        idle.idle_round("reader-0", "ant-0", times)
+        full = Recorder(detail=detail).begin_pass(0)
+        full.round(
+            "reader-0",
+            "ant-0",
+            [SlotOutcome(t, i, ()) for i, t in enumerate(times)],
+        )
+        observations = [
+            rec.finalize((self.A,), set(), {}, {}, 6.0, False)
+            for rec in (idle, full)
+        ]
+        assert observations[0] == observations[1]
+        assert len(observations[0].slot_records) == (3 if detail else 0)
+        assert observations[0].metrics.get("pass.empty_slots").value == 3
+
+    def test_idle_round_without_slots_declares_no_slot_counter(self):
+        rec = Recorder().begin_pass(0)
+        rec.idle_round("reader-0", "ant-0", [])
+        obs = rec.finalize((self.A,), set(), {}, {}, 6.0, False)
+        assert obs.metrics.get("pass.empty_slots") is None
+        assert obs.metrics.get("pass.rounds").value == 1
 
 
 class TestAggregation:

@@ -156,3 +156,86 @@ class TestTreeWalk:
             _population(32), perfect_channel, RandomStream(13), stats=big_stats
         )
         assert big_stats.queries > small_stats.queries
+
+
+class _ScriptedDecodes:
+    """Stand-in random stream whose decode Bernoullis follow a script."""
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.probabilities = []
+
+    def bernoulli(self, p):
+        self.probabilities.append(p)
+        return self.outcomes.pop(0)
+
+
+class TestTreeWalkRetries:
+    """A garbled solo reply is re-queried once, then abandoned for the
+    walk; leftover budget starts a fresh walk that can still read it.
+
+    Tag A sits under prefix 0 and tag B under prefix 1, so the root
+    query collides and each child holds one tag.
+    """
+
+    A = "0" * 24
+    B = "8" + "0" * 23
+
+    @staticmethod
+    def lossy(epc):
+        return TagChannel(energized=True, reply_decode_p=0.5)
+
+    def _walk(self, rng, time_budget_s=None):
+        stats = TreeWalkStats()
+        result = inventory_tree(
+            [self.A, self.B],
+            self.lossy,
+            rng,
+            time_budget_s=time_budget_s,
+            stats=stats,
+        )
+        return result, stats
+
+    def test_garbled_reply_requeues_prefix_once_then_abandons(self):
+        # A's reply garbles twice (one failed RN16 draw each); B decodes.
+        rng = _ScriptedDecodes(False, False, True, True)
+        result, stats = self._walk(rng)
+        assert [(s.responders, s.kind) for s in result.slots] == [
+            ((self.A, self.B), "collision"),
+            ((self.A,), "collision"),  # garbled: prefix 0 re-queued
+            ((self.A,), "collision"),  # garbled again: A abandoned
+            ((self.B,), "success"),
+        ]
+        assert result.read_epcs == [self.B]
+        assert stats.queries == 4
+        assert stats.collisions == 1
+        assert rng.outcomes == []
+        assert rng.probabilities == [0.5] * 4
+
+    def test_retry_that_decodes_reads_the_tag(self):
+        rng = _ScriptedDecodes(False, True, True, True, True)
+        result, stats = self._walk(rng)
+        assert [s.kind for s in result.slots] == [
+            "collision", "collision", "success", "success",
+        ]
+        assert result.read_epcs == [self.A, self.B]
+        assert stats.queries == 4
+
+    def test_leftover_budget_starts_a_new_walk(self):
+        # Same draws as the abandoning walk, then A decodes on the
+        # second walk's root query.
+        rng = _ScriptedDecodes(False, False, True, True, True, True)
+        result, stats = self._walk(rng, time_budget_s=1.0)
+        assert [(s.responders, s.kind) for s in result.slots] == [
+            ((self.A, self.B), "collision"),
+            ((self.A,), "collision"),
+            ((self.A,), "collision"),
+            ((self.B,), "success"),
+            ((self.A,), "success"),  # second walk: only A still answers
+            ((), "empty"),  # third walk's root: everyone read
+        ]
+        assert result.read_epcs == [self.B, self.A]
+        assert result.read_times[self.A] > result.read_times[self.B]
+        assert stats.queries == 6
+        assert rng.outcomes == []
+        assert result.duration_s < 1.0

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.protocol.epc import EpcFactory
 from repro.protocol.gen2 import (
     SILENT,
@@ -199,7 +201,7 @@ class TestSingleRound:
             assert t >= 10.0
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_reads_subset_of_population(self, seed):
         population = _population(6)
         result = run_inventory_round(
@@ -286,7 +288,7 @@ class TestInventoryUntil:
 class TestIdleRound:
     """``run_idle_round`` is a round in which no tag contends, run cheaply."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(
         q_initial=st.integers(min_value=0, max_value=6),
         steps=st.integers(min_value=0, max_value=30),

@@ -2,6 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.protocol.epc import EpcFactory
 from repro.protocol.gen2 import (
     InventorySession,
@@ -13,7 +15,7 @@ from repro.protocol.gen2 import (
 from repro.protocol.timing import DEFAULT_TIMING
 from repro.sim.rng import RandomStream
 
-fast = settings(max_examples=30, deadline=None)
+fast = settings(max_examples=examples(30), deadline=None)
 
 
 def _population(n):

@@ -2,11 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.reader.middleware import DuplicateEliminator, SlidingWindowSmoother
 from repro.reader.wire import parse_tag_list, render_tag_list
 from repro.sim.events import TagReadEvent
 
-fast = settings(max_examples=40, deadline=None)
+fast = settings(max_examples=examples(40), deadline=None)
 
 epcs = st.sampled_from(["A" * 24, "B" * 24, "C" * 24])
 times = st.lists(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.reader.supervisor import (
+    Promotion,
     ReaderFailoverGroup,
     ReaderHealth,
     RetryPolicy,
@@ -42,6 +43,19 @@ class FlakyTransport:
 class DeadTransport:
     def poll(self, now):
         raise ReaderUnreachable("dead")
+
+
+class ScriptedTransport:
+    """Answers (with an empty tag list) or fails, poll by poll."""
+
+    def __init__(self, answers):
+        self._answers = list(answers)
+        self._interface = PolledInterface([])
+
+    def poll(self, now):
+        if not self._answers.pop(0):
+            raise ReaderUnreachable("scripted")
+        return self._interface.poll(now)
 
 
 class TestRetryPolicy:
@@ -196,3 +210,50 @@ class TestReaderFailoverGroup:
             group.poll(1.0 + step)
         times = [t.time for t in group.transitions()]
         assert times == sorted(times)
+
+    def test_history_interleaves_transitions_and_promotions(self):
+        # One attempt per poll. The primary fails its first four polls;
+        # the standby answers three, then fails from then on.
+        policy = RetryPolicy(max_attempts=1)
+        primary = SupervisedReader(
+            "reader-0",
+            FlakyTransport([], failures=4, error=ReaderUnreachable),
+            policy,
+        )
+        standby = SupervisedReader(
+            "reader-1", ScriptedTransport([True] * 3 + [False] * 3), policy
+        )
+        group = ReaderFailoverGroup([primary, standby])
+        for step in range(6):
+            group.poll(1.0 + step)
+
+        def entry(e):
+            if isinstance(e, Promotion):
+                return ("promotion", e.from_reader, e.to_reader, e.time)
+            return ("health", e.reader_id, e.new.value, e.time)
+
+        assert [entry(e) for e in group.history] == [
+            ("health", "reader-0", "degraded", 1.0),
+            ("health", "reader-0", "down", 3.0),
+            ("promotion", "reader-0", "reader-1", 3.0),
+            ("health", "reader-1", "degraded", 4.0),
+            ("health", "reader-0", "healthy", 5.0),
+            ("health", "reader-1", "down", 6.0),
+            ("promotion", "reader-1", "reader-0", 6.0),
+        ]
+        assert sorted(
+            (e for e in group.history if not isinstance(e, Promotion)),
+            key=lambda t: (t.time, t.reader_id),
+        ) == group.transitions()
+
+    def test_history_starts_with_members_earlier_transitions(self):
+        primary = SupervisedReader("reader-0", DeadTransport())
+        primary.poll(0.5)
+        [earlier] = primary.transitions
+        group = ReaderFailoverGroup(
+            [primary, SupervisedReader("reader-1", PolledInterface([]))]
+        )
+        assert group.history == []
+        group.poll(1.0)
+        assert group.history[0] is earlier
+        assert group.history == primary.transitions

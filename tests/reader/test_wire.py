@@ -4,6 +4,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.reader.wire import (
     PolledInterface,
     PollOrderError,
@@ -146,7 +148,7 @@ class TestRoundTripProperties:
         ),
         rssi=st.floats(min_value=-90.0, max_value=-10.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_exotic_fields_survive_round_trip(self, epcs, times, rssi):
         events = [
             TagReadEvent(

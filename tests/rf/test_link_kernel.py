@@ -13,6 +13,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.rf.antenna import (
     CIRCULAR_TO_LINEAR_LOSS_DB,
     NULL_FLOOR_DB,
@@ -35,7 +37,7 @@ from repro.world.simulation import (
 from repro.world.tag_designs import TagDesign, characteristics
 from repro.world.tags import ALL_ORIENTATIONS, Tag, TagOrientation
 
-EXAMPLES = settings(max_examples=300)
+EXAMPLES = settings(max_examples=examples(300))
 
 # ---------------------------------------------------------------------------
 # the oracle: the vector form, operation for operation

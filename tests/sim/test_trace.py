@@ -14,17 +14,17 @@ def _event(t, epc="E" * 24, reader="r0", antenna="a0", rssi=-60.0):
 
 class TestSlotOutcome:
     def test_empty(self):
-        assert SlotOutcome(0.0, 0, 0).kind == "empty"
+        assert SlotOutcome(0.0, 0, ()).kind == "empty"
 
     def test_success(self):
-        assert SlotOutcome(0.0, 0, 1, epc="x").kind == "success"
+        assert SlotOutcome(0.0, 0, ("x",), epc="x").kind == "success"
 
     def test_collision(self):
-        assert SlotOutcome(0.0, 0, 3).kind == "collision"
+        assert SlotOutcome(0.0, 0, ("a", "b", "c")).kind == "collision"
 
     def test_garbled_single_counts_as_collision(self):
         # One responder but no decoded EPC: looks like a collision.
-        assert SlotOutcome(0.0, 0, 1, epc=None).kind == "collision"
+        assert SlotOutcome(0.0, 0, ("x",), epc=None).kind == "collision"
 
 
 class TestTagReadEvent:

@@ -17,11 +17,17 @@ from repro.core.calibration import PaperSetup
 from repro.core.experiment import run_trials
 from repro.core.parallel import PassTrialTask
 from repro.faults import FaultPlan, ReaderCrash
+from repro.reader.backend import ObjectRegistry, TrackedObject
 from repro.sim.rng import SeedSequence
 from repro.world.humans import HumanTagPlacement
 from repro.world.motion import StationaryPlacement
 from repro.world.portal import failover_portal, single_antenna_portal
 from repro.world.scenarios.catalog import SCENES
+from repro.world.scenarios.fault_injection import (
+    CrashPlanFactory,
+    SupervisedPassTask,
+    run_supervised_pass,
+)
 from repro.world.scenarios.human_tracking import build_walk
 from repro.world.scenarios.read_range import PAPER_REPETITIONS, build_tag_plane
 from repro.world.simulation import CompiledScene, PortalPassSimulator
@@ -191,6 +197,60 @@ class TestTaskPickle:
             "plane", SCENES["tag-plane-3m"].build(), 4, seed=SEED
         )
         assert parallel.outcomes == serial.outcomes
+
+
+class TestSupervisedTask:
+    """A supervised-pass task compiles its scene once per process, like
+    a plain pass task, and its passes match compiling per call."""
+
+    @staticmethod
+    def _task():
+        carrier, humans = build_walk(1, [HumanTagPlacement.FRONT])
+        registry = ObjectRegistry()
+        registry.register(
+            TrackedObject("subject-0", frozenset({humans[0].tags[0].epc}))
+        )
+        return SupervisedPassTask(
+            simulator=PaperSetup().simulator(failover_portal()),
+            carriers=(carrier,),
+            registry=registry,
+            object_id="subject-0",
+            plan_factory=CrashPlanFactory(rate=1.0),
+        )
+
+    def test_compiles_once_and_matches_per_call_compile(self, monkeypatch):
+        compiles = _counting(
+            monkeypatch, simulation.PortalPassSimulator, "compile"
+        )
+        task = self._task()
+        (carrier,) = task.carriers
+        seeds = SeedSequence(SEED)
+        outcomes = [task(seeds, trial) for trial in range(3)]
+        assert len(compiles) == 1
+        for trial, outcome in enumerate(outcomes):
+            plan = task.plan_factory(seeds, trial, carrier.motion.duration_s)
+            assert outcome == run_supervised_pass(
+                task.simulator,
+                [carrier],
+                task.registry,
+                task.object_id,
+                seeds,
+                trial,
+                plan,
+            )
+        assert task.scene() is task._scene
+
+    def test_scene_stays_out_of_the_pickle(self):
+        task = self._task()
+        before = pickle.dumps(task)
+        task(SeedSequence(SEED), 0)
+        after = pickle.dumps(task)
+        assert len(after) == len(before)
+        assert pickle.loads(after)._scene is None
+
+    def test_call_is_its_own_method(self):
+        # The benchmark traces both tasks' __call__ as one pass each.
+        assert SupervisedPassTask.__call__ is not PassTrialTask.__call__
 
 
 class TestSnapshot:

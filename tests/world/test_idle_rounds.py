@@ -471,3 +471,26 @@ class TestFaultTimeline:
                     if not plan.reader_down(r.reader_id, t)
                 )
                 assert segment.burst_dbm == plan.interference_dbm_at(t)
+
+    def test_restart_flags_the_segment_it_starts(self):
+        task = _failover_plane()
+        sim = task.simulator
+        plan = task.fault_plan
+        flagged = {}
+        for reader in sim.portal.readers:
+            segments = sim._fault_timeline(plan, reader)
+            starts = [0.0] + [s.end for s in segments[:-1]]
+            restarts = {
+                c.restart_at_s for c in plan.crash_restarts(reader.reader_id)
+            }
+            assert restarts <= set(starts)
+            assert [s.restart for s in segments] == [
+                start in restarts for start in starts
+            ]
+            flagged[reader.reader_id] = [
+                start for start, s in zip(starts, segments) if s.restart
+            ]
+        # Only the crashed reader restarts; its neighbour sees an edge
+        # there (an aggressor comes back) but keeps its session.
+        assert flagged == {"reader-0": [1.0], "reader-1": []}
+        assert 1.0 in starts

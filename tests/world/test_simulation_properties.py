@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from tests.hypothesis_budget import examples
+
 from repro.core.calibration import PaperSetup
 from repro.protocol.epc import EpcFactory
 from repro.rf.geometry import Vec3
@@ -15,7 +17,7 @@ from repro.world.tags import Tag
 SETUP = PaperSetup()
 
 slow_settings = settings(
-    max_examples=10,
+    max_examples=examples(10),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
