@@ -290,6 +290,32 @@ class PassRecording:
                 )
         self._count("pass.rounds")
 
+    def idle_run(
+        self,
+        reader_id: str,
+        antenna_id: str,
+        rounds: int,
+        slots_per_round: int,
+    ) -> None:
+        """``rounds`` back-to-back idle rounds of ``slots_per_round``
+        empty slots each.
+
+        Declares and adds to the counters exactly as ``rounds`` calls of
+        :meth:`idle_round` would. A detailed recording keeps a record of
+        every slot, with its time, so it takes :meth:`idle_round` for
+        each round instead; this raises :class:`ValueError` on one.
+        """
+        if self.detail:
+            raise ValueError(
+                "a detailed recording keeps every slot's record: "
+                "record each idle round with idle_round"
+            )
+        if rounds <= 0:
+            return
+        if slots_per_round > 0:
+            self._count("pass.empty_slots", rounds * slots_per_round)
+        self._count("pass.rounds", rounds)
+
     def masked_dwell(
         self,
         time: float,

@@ -18,7 +18,7 @@ conveyor passes (Figure 4), and portal dwells (Tables 1-5).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..sim.events import SlotOutcome
 from ..sim.rng import RandomStream
@@ -82,6 +82,15 @@ class QAlgorithm:
     def q(self) -> int:
         """Current integer Q."""
         return int(round(self._qfp))
+
+    @property
+    def at_floor(self) -> bool:
+        """Qfp sits at ``q_min``: an empty slot leaves it where it is.
+
+        From here on every round in which no tag contends is the same
+        ``2**q_min``-slot frame and leaves the algorithm as it found it.
+        """
+        return self._qfp == self.q_min
 
     def on_empty(self) -> None:
         self._qfp = max(float(self.q_min), self._qfp - self.c)
@@ -296,6 +305,24 @@ def run_idle_round(
         q_algo.on_empty()
         elapsed += timing.empty_slot_s
     return elapsed
+
+
+def idle_round_airtime(
+    q: int, timing: Gen2Timing = DEFAULT_TIMING
+) -> Tuple[float, float]:
+    """Offset of the last slot, and airtime, of a whole idle round at ``q``.
+
+    The same sums, in the same order, as :func:`run_idle_round`: a
+    round at ``q`` given a time budget runs all ``2**q`` slots exactly
+    when the offset of its last slot is below the budget, and then
+    returns this airtime.
+    """
+    elapsed = timing.query_s
+    last_slot = elapsed
+    for _ in range(1 << q):
+        last_slot = elapsed
+        elapsed += timing.empty_slot_s
+    return last_slot, elapsed
 
 
 def inventory_until(

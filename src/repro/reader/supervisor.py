@@ -221,14 +221,16 @@ class Promotion:
 class ReaderFailoverGroup:
     """A redundant set of supervised readers watching the same zone.
 
-    Every member that is not down is polled each cycle and the events
-    are unioned — redundant sessions observe independently, so the
-    group's view is at least as complete as its best member's. The
-    *active* reader (the one that would receive configuration commands
-    and single-read requests) starts as the first member and is
-    promoted to the next live member when it goes down; promotions are
-    recorded, never silent. A recovered ex-primary stays standby — no
-    failback flapping.
+    Every member is polled each cycle, down ones included (that is how
+    a restarted member's recovery is observed), and the events are
+    unioned — redundant sessions observe independently, so the group's
+    view is at least as complete as its best member's. The *active*
+    reader (the one that would receive configuration commands and
+    single-read requests) starts as the first member and is promoted to
+    the next live member when it goes down; promotions are recorded,
+    never silent, and stamped no earlier than the DOWN transition that
+    caused them. A recovered ex-primary stays standby — no failback
+    flapping.
     """
 
     def __init__(self, readers: Sequence[SupervisedReader]) -> None:
@@ -297,10 +299,15 @@ class ReaderFailoverGroup:
         active = self._reader(self._active)
         if active.health is not ReaderHealth.DOWN:
             return
+        # A failed poll stamps its DOWN transition with the retry clock,
+        # which runs ahead of ``now``: the failover cannot precede it.
+        # Health starts healthy, so a down reader's last transition is
+        # the one that took it down.
+        at = max(now, active.transitions[-1].time)
         for reader in self._readers:
             if reader.health is not ReaderHealth.DOWN:
                 self.history.append(
-                    Promotion(now, self._active, reader.reader_id)
+                    Promotion(at, self._active, reader.reader_id)
                 )
                 self._active = reader.reader_id
                 return

@@ -56,6 +56,7 @@ from ..protocol.gen2 import (
     InventorySession,
     QAlgorithm,
     TagChannel,
+    idle_round_airtime,
     run_idle_round,
     run_inventory_round,
 )
@@ -430,7 +431,7 @@ class _Segment:
 class _IdleProof:
     """Why the next rounds of a reader cannot read anything.
 
-    Taken after a round in which no tag contended: ``links`` holds the
+    Taken in a round in which no tag contended: ``links`` holds the
     (tag, composed link) of every uninventoried tag that round
     evaluated, none of them energized. While the scene is static
     and the reader keeps the antenna, interference value and fault loss
@@ -442,7 +443,12 @@ class _IdleProof:
     interference_dbm: Optional[float]
     fault_loss_db: float
     links: List[Tuple[Tag, ComposedLink]]
-    short_circuits: int
+    short_circuits: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.short_circuits = sum(
+            1 for _, link in self.links if link.result is None
+        )
 
     def holds(
         self,
@@ -456,13 +462,14 @@ class _IdleProof:
             and fault_loss_db == self.fault_loss_db
         )
 
-    def replay(self, cache: PassLinkCache) -> None:
-        """Count one round's evaluations as the cache would have."""
-        evaluated = len(self.links)
+    def replay(self, cache: PassLinkCache, rounds: int = 1) -> None:
+        """Count ``rounds`` rounds' evaluations as the cache would have."""
+        evaluated = len(self.links) * rounds
+        short_circuits = self.short_circuits * rounds
         cache.geometry_hits += evaluated
         cache.composed_hits += evaluated
-        cache.short_circuits += self.short_circuits
-        cache.fading_hits += evaluated - self.short_circuits
+        cache.short_circuits += short_circuits
+        cache.fading_hits += evaluated - short_circuits
 
 
 class _Scene:
@@ -1153,15 +1160,20 @@ class PortalPassSimulator:
 
         Appends the reader's reads to ``events``; returns its round count.
 
-        With the link cache on, a round that provably reads nothing is
-        fast-forwarded: it runs the Q algorithm over its empty slots and
-        charges their airtime, but builds no closure, runs no inventory
-        round and evaluates no link. A round is idle when the session
-        has inventoried every tag, or when an :class:`_IdleProof` from
-        the last round still holds. Its co-channel draw and cache
-        counters are the ones the full round would have made, and the
-        recorder gets the same link evaluations and empty slots.
-        The reference path (``use_link_cache=False``) runs every round.
+        With the link cache on, a round in which no tag can contend is
+        idle: it runs the Q algorithm over its empty slots and charges
+        their airtime, but runs no inventory round. A round is idle when
+        the session has inventoried every tag, when an
+        :class:`_IdleProof` from an earlier round still holds (then it
+        evaluates no link either), or when the links of every
+        uninventoried tag, evaluated first, energize none of them. Once
+        the Q algorithm sits at its floor (:attr:`QAlgorithm.at_floor`)
+        the idle rounds that need no evaluation run in one loop up to
+        the next edge (see :meth:`_idle_run`). An idle round's co-channel
+        draw and cache counters are the ones the full round would have
+        made, and the recorder gets the same link evaluations and empty
+        slots. The reference path (``use_link_cache=False``) runs every
+        round.
         """
         rec = ctx.rec
         cache = ctx.cache
@@ -1188,6 +1200,11 @@ class PortalPassSimulator:
         segment_index = 0
         segment = segments[0]
         idle: Optional[_IdleProof] = None
+        # The co-channel outcome an idle run drew for the round it
+        # stopped before; that round uses it instead of drawing again.
+        drawn: Optional[bool] = None
+        # (last slot offset, airtime) of an idle round at the Q floor.
+        floor_frame: Optional[Tuple[float, float]] = None
 
         while t < duration:
             while t >= segment.end:
@@ -1207,7 +1224,8 @@ class PortalPassSimulator:
                     rec.masked_dwell(t, reader.reader_id, None, "reader_down")
                 t += tdma_slot_s
                 continue
-            antenna = segment.active[int(t / tdma_slot_s) % len(segment.active)]
+            dwell = int(t / tdma_slot_s) % len(segment.active)
+            antenna = segment.active[dwell]
             silent, fault_loss_db = segment.ports[antenna.antenna_id]
             if silent:
                 # Cable cut: the dwell happens but nothing radiates.
@@ -1217,7 +1235,13 @@ class PortalPassSimulator:
                     )
                 t += tdma_slot_s
                 continue
-            interference = self._interference_for(ctx, reader, antenna, segment)
+            if drawn is None:
+                co_channel = self._co_channel(ctx, segment)
+            else:
+                co_channel, drawn = drawn, None
+            interference = self._interference_for(
+                ctx, reader, antenna, segment, co_channel
+            )
 
             everyone_read = session.inventoried_count == tag_count
             if cache is not None and (
@@ -1229,120 +1253,188 @@ class PortalPassSimulator:
             ):
                 if idle is not None:
                     idle.replay(cache)
-                slot_times: Optional[List[float]] = None
-                if rec is not None:
-                    if idle is not None:
+                    if rec is not None:
                         for tag, link in idle.links:
                             self._record_composed(
                                 ctx, link, tag, antenna, reader, t
                             )
-                    slot_times = []
-                elapsed = run_idle_round(
-                    q_algo, self.timing, t, duration - t, slot_times
-                )
-                rounds += 1
-                if rec is not None:
-                    rec.idle_round(
-                        reader.reader_id, antenna.antenna_id, slot_times
+            else:
+                # The evaluations run_inventory_round would make before
+                # its first draw: every uninventoried tag, in population
+                # order.
+                links: List[Tuple[Tag, ComposedLink]] = []
+                if not everyone_read:
+                    scene = _Scene(compiled.carriers, antenna.antenna_id, t)
+                    for epc in compiled.population:
+                        if session.is_inventoried(epc):
+                            continue
+                        carrier, tag = compiled.epc_index[epc]
+                        links.append((tag, evaluate(
+                            ctx, scene, carrier, tag, antenna, reader, t,
+                            interference, fault_loss_db,
+                        )))
+                if cache is None or any(
+                    link.channel.energized for _, link in links
+                ):
+                    idle = None
+                    t = self._full_round(
+                        ctx, reader, antenna, links, protocol_rng, q_algo,
+                        session, t, events,
                     )
-                t += max(elapsed, self.timing.query_s)
-                continue
-
-            last_result: Dict[str, LinkResult] = {}
-            # Taken on the round's first evaluation: many rounds of a
-            # long pass evaluate no tag at all.
-            scene: List[_Scene] = []
-
-            def channel(epc: str) -> TagChannel:
-                carrier, tag = compiled.epc_index[epc]
-                if not scene:
-                    scene.append(
-                        _Scene(compiled.carriers, antenna.antenna_id, t)
-                    )
-                link = evaluate(
-                    ctx, scene[0], carrier, tag, antenna, reader, t,
-                    interference, fault_loss_db,
+                    rounds += 1
+                    continue
+                idle = (
+                    _IdleProof(antenna, interference, fault_loss_db, links)
+                    if compiled.static
+                    else None
                 )
-                # A short-circuited link has no result: its tag is not
-                # energized, never replies, and so nothing downstream
-                # consumes a LinkResult for it.
-                if link.result is not None:
-                    last_result[epc] = link.result
-                return link.channel
 
-            round_result = run_inventory_round(
-                compiled.population,
-                channel,
-                protocol_rng,
-                q_algo,
-                session=session,
-                timing=self.timing,
-                start_time=t,
-                time_budget_s=duration - t,
-                capture_probability=self.params.capture_probability,
+            # No tag contends: a Query and empty slots.
+            slot_times: Optional[List[float]] = [] if rec is not None else None
+            elapsed = run_idle_round(
+                q_algo, self.timing, t, duration - t, slot_times
             )
             rounds += 1
             if rec is not None:
-                rec.round(
-                    reader.reader_id, antenna.antenna_id, round_result.slots
-                )
-            for epc in round_result.read_epcs:
-                result = last_result.get(epc)
-                rssi = result.reverse_power_dbm if result else -99.0
-                events.append(
-                    TagReadEvent(
-                        time=round_result.read_times[epc],
-                        epc=epc,
-                        reader_id=reader.reader_id,
-                        antenna_id=antenna.antenna_id,
-                        rssi_dbm=rssi,
-                    )
-                )
-            idle = None
+                rec.idle_round(reader.reader_id, antenna.antenna_id, slot_times)
+            t += max(elapsed, self.timing.query_s)
+
+            # The next rounds need no evaluation when everyone is read
+            # (then there is no proof) or a proof holds. A recorded
+            # proof replay feeds float histograms, and a detailed
+            # recording keeps every slot: those stay round by round.
             if (
-                cache is not None
-                and compiled.static
-                and scene
-                and not any(r.activated for r in last_result.values())
+                q_algo.at_floor
+                and (everyone_read or idle is not None)
+                and (rec is None or (everyone_read and not rec.detail))
             ):
-                idle = self._idle_proof(
-                    ctx, session, scene[0], antenna, interference, fault_loss_db
+                if floor_frame is None:
+                    floor_frame = idle_round_airtime(q_algo.q, self.timing)
+                run, t, drawn = self._idle_run(
+                    ctx, reader, segment, dwell, idle, floor_frame, t
                 )
-            # Advance by the airtime the round consumed (at least one
-            # Query even if the field was empty).
-            t += max(round_result.duration_s, self.timing.query_s)
+                if run:
+                    rounds += run
+                    if idle is not None:
+                        idle.replay(cache, run)
+                    if rec is not None:
+                        rec.idle_run(
+                            reader.reader_id, antenna.antenna_id, run,
+                            1 << q_algo.q,
+                        )
         return rounds
 
-    @staticmethod
-    def _idle_proof(
+    def _full_round(
+        self,
         ctx: _Pass,
-        session: InventorySession,
-        scene: _Scene,
+        reader: ReaderAssignment,
         antenna: AntennaInstallation,
-        interference_dbm: Optional[float],
-        fault_loss_db: float,
-    ) -> _IdleProof:
-        """The proof a round with no contender leaves for the next ones.
+        links: List[Tuple[Tag, ComposedLink]],
+        protocol_rng: RandomStream,
+        q_algo: QAlgorithm,
+        session: InventorySession,
+        t: float,
+        events: List[TagReadEvent],
+    ) -> float:
+        """Run one inventory round on the links already evaluated for it.
 
-        Every uninventoried tag was evaluated in that round: the pass
-        keeps the link the evaluation returned under its scene key.
+        ``links`` holds every uninventoried tag's link; the round reads
+        their channels instead of evaluating them again. Appends the
+        round's reads to ``events`` and returns the time after it.
         """
         compiled = ctx.scene
-        links = []
-        for epc in compiled.population:
-            if session.is_inventoried(epc):
-                continue
-            carrier, tag = compiled.epc_index[epc]
-            links.append(
-                (tag, ctx.cache.links[(epc, scene.keys[id(carrier)])])
-            )
-        return _IdleProof(
-            antenna,
-            interference_dbm,
-            fault_loss_db,
-            links,
-            sum(1 for _, link in links if link.result is None),
+        by_epc = {tag.epc: link for tag, link in links}
+        round_result = run_inventory_round(
+            compiled.population,
+            lambda epc: by_epc[epc].channel,
+            protocol_rng,
+            q_algo,
+            session=session,
+            timing=self.timing,
+            start_time=t,
+            time_budget_s=compiled.duration - t,
+            capture_probability=self.params.capture_probability,
         )
+        if ctx.rec is not None:
+            ctx.rec.round(
+                reader.reader_id, antenna.antenna_id, round_result.slots
+            )
+        for epc in round_result.read_epcs:
+            # Only an energized tag contends, so a read tag's link was
+            # composed, not short-circuited.
+            events.append(
+                TagReadEvent(
+                    time=round_result.read_times[epc],
+                    epc=epc,
+                    reader_id=reader.reader_id,
+                    antenna_id=antenna.antenna_id,
+                    rssi_dbm=by_epc[epc].result.reverse_power_dbm,
+                )
+            )
+        # Advance by the airtime the round consumed (at least one Query
+        # even if the field was empty).
+        return t + max(round_result.duration_s, self.timing.query_s)
+
+    def _idle_run(
+        self,
+        ctx: _Pass,
+        reader: ReaderAssignment,
+        segment: _Segment,
+        dwell: int,
+        proof: Optional[_IdleProof],
+        floor_frame: Tuple[float, float],
+        t: float,
+    ) -> Tuple[int, float, Optional[bool]]:
+        """Run the idle rounds after one at the Q floor, in one loop.
+
+        At the floor an idle round leaves the Q algorithm as it is, and
+        unless the pass end truncates it, it is the same frame with the
+        same airtime (``floor_frame``, from :func:`idle_round_airtime`).
+        So while the next round needs no evaluation — the session has
+        inventoried every tag (``proof`` is ``None``) or ``proof`` still
+        holds — a round only adds that airtime to ``t`` and draws its
+        co-channel Bernoulli. The run stops before the first round that
+        falls past the segment's end, that the pass end would truncate,
+        that the TDMA schedule gives to another antenna (``dwell`` is
+        this one's index among the active ones) or whose interference
+        value breaks the proof. A silent port cannot start inside a run:
+        the run keeps its antenna and its segment.
+
+        Returns the rounds run, the time after them, and the co-channel
+        outcome already drawn for the round the run stopped before
+        (``None`` when it drew none for it).
+        """
+        duration = ctx.scene.duration
+        last_slot, airtime = floor_frame
+        step = max(airtime, self.timing.query_s)
+        tdma_slot_s = self.params.tdma_slot_s
+        active = len(segment.active)
+        antenna = segment.active[dwell]
+        end = segment.end
+        draws = bool(segment.live_radios)
+        # Interference value by co-channel outcome, taken through the
+        # memo as the rounds themselves would take it.
+        values: Dict[bool, Optional[float]] = {}
+        run = 0
+        while (
+            t < end
+            and last_slot < duration - t
+            and int(t / tdma_slot_s) % active == dwell
+        ):
+            if draws:
+                co_channel = self._co_channel(ctx, segment)
+                if co_channel not in values:
+                    values[co_channel] = self._interference_for(
+                        ctx, reader, antenna, segment, co_channel
+                    )
+                if (
+                    proof is not None
+                    and values[co_channel] != proof.interference_dbm
+                ):
+                    return run, t, co_channel
+            t += step
+            run += 1
+        return run, t, None
 
     def _fault_timeline(
         self, plan: Optional["FaultPlan"], reader: ReaderAssignment
@@ -1441,25 +1533,32 @@ class PortalPassSimulator:
                 )
         return radios
 
+    def _co_channel(self, ctx: _Pass, segment: _Segment) -> bool:
+        """One inventory round's co-channel draw.
+
+        Live aggressors cost one Bernoulli on the pass's interference
+        stream per round; with none there is nothing to draw.
+        """
+        return bool(segment.live_radios) and ctx.interference_rng.bernoulli(
+            self.params.co_channel_probability
+        )
+
     def _interference_for(
         self,
         ctx: _Pass,
         reader: ReaderAssignment,
         antenna: AntennaInstallation,
         segment: _Segment,
+        co_channel: bool,
     ) -> Optional[float]:
         """In-band interference at this reader's receiver for one round.
 
-        Live aggressors cost one co-channel Bernoulli on the pass's
-        interference stream per inventory round; the Friis sum for the
-        outcome is memoized in the pass's link cache. An ambient burst
-        adds on top.
+        ``co_channel`` is the round's draw (:meth:`_co_channel`). The
+        Friis sum of the live aggressors for that outcome is memoized in
+        the pass's link cache. An ambient burst adds on top.
         """
         interference = None
         if segment.live_radios:
-            co_channel = ctx.interference_rng.bernoulli(
-                self.params.co_channel_probability
-            )
             key = (reader.reader_id, antenna.antenna_id, segment.live_key, co_channel)
             memo = ctx.cache.interference if ctx.cache is not None else None
             if memo is not None and key in memo:

@@ -224,6 +224,33 @@ class TestRoundHooks:
         assert obs.metrics.get("pass.empty_slots") is None
         assert obs.metrics.get("pass.rounds").value == 1
 
+    @pytest.mark.parametrize("slots", [0, 1, 4])
+    @pytest.mark.parametrize("rounds", [0, 1, 7])
+    def test_idle_run_is_that_many_idle_rounds(self, rounds, slots):
+        # Counters first declared by the run, and one declared before.
+        run = Recorder().begin_pass(0)
+        each = Recorder().begin_pass(0)
+        for rec in (run, each):
+            rec.masked_dwell(0.0, "reader-0", None, "reader_down")
+        run.idle_run("reader-0", "ant-0", rounds, slots)
+        for _ in range(rounds):
+            each.idle_round("reader-0", "ant-0", [0.1 * i for i in range(slots)])
+        observations = [
+            rec.finalize((self.A,), set(), {}, {}, 6.0, False)
+            for rec in (run, each)
+        ]
+        assert observations[0] == observations[1]
+        assert list(observations[0].metrics._metrics) == list(
+            observations[1].metrics._metrics
+        )
+        rounds_counter = observations[0].metrics.get("pass.rounds")
+        assert (rounds_counter.value if rounds_counter else 0) == rounds
+
+    def test_idle_run_refuses_a_detailed_recording(self):
+        rec = Recorder(detail=True).begin_pass(0)
+        with pytest.raises(ValueError, match="idle_round"):
+            rec.idle_run("reader-0", "ant-0", 3, 1)
+
 
 class TestAggregation:
     def test_absorb_trial_set_collects_everything(self):

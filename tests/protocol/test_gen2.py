@@ -1,5 +1,7 @@
 """Tests for the Gen 2 inventory simulator."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from repro.protocol.gen2 import (
     InventorySession,
     QAlgorithm,
     TagChannel,
+    idle_round_airtime,
     inventory_until,
     run_idle_round,
     run_inventory_round,
@@ -88,6 +91,48 @@ class TestQAlgorithm:
     def test_invalid_c(self):
         with pytest.raises(ValueError):
             QAlgorithm(c=0.05)
+
+
+class TestAtFloor:
+    """``at_floor``: Qfp sits at ``q_min``, where an empty slot is a no-op."""
+
+    def test_empties_walk_down_to_the_floor_and_stay(self):
+        q = QAlgorithm(q_initial=4, q_min=1, c=0.3)
+        steps = 0
+        while not q.at_floor:
+            assert q.q >= 1
+            q.on_empty()
+            steps += 1
+        # Ten steps of 0.3 leave Qfp at 1.0000000000000009, which q
+        # already reads as 1; the eleventh clamps it to the floor.
+        assert steps == 11
+        assert q.q == 1
+        for _ in range(5):
+            q.on_empty()
+            assert q.at_floor and q.q == 1
+
+    def test_rounding_to_q_min_is_not_the_floor(self):
+        # q already reads q_min, but an empty slot still moves Qfp.
+        q = QAlgorithm(q_initial=1, q_min=0, c=0.3)
+        for _ in range(3):
+            q.on_empty()
+        assert q.q == 0
+        assert not q.at_floor
+        q.on_empty()
+        assert q.at_floor
+
+    def test_collision_leaves_the_floor_and_reset_returns_to_initial(self):
+        q = QAlgorithm(q_initial=0, q_min=0, q_max=4)
+        assert q.at_floor
+        q.on_collision()
+        assert not q.at_floor
+        q.reset()
+        assert q.at_floor
+
+    def test_success_keeps_the_floor(self):
+        q = QAlgorithm(q_initial=2, q_min=2, q_max=4)
+        q.on_success()
+        assert q.at_floor
 
 
 class TestSession:
@@ -339,6 +384,40 @@ class TestIdleRound:
         assert len(result.slots) == slots
         assert run_idle_round(fast, time_budget_s=budget) == result.duration_s
         assert fast._qfp == reference._qfp
+
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    def test_airtime_is_the_untruncated_idle_round(self, q):
+        last_slot, airtime = idle_round_airtime(q)
+        slot_times = []
+        full = run_idle_round(
+            QAlgorithm(q_initial=q, q_min=q, q_max=q), slot_times=slot_times
+        )
+        assert airtime == full
+        assert len(slot_times) == 1 << q
+        assert slot_times[-1] == last_slot
+
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_last_slot_offset_is_the_truncation_edge(self, q):
+        last_slot, airtime = idle_round_airtime(q)
+        frame = QAlgorithm(q_initial=q, q_min=q, q_max=q)
+        # The round keeps its last slot exactly when the budget exceeds
+        # the slot's offset.
+        kept = []
+        assert (
+            run_idle_round(
+                frame,
+                time_budget_s=math.nextafter(last_slot, math.inf),
+                slot_times=kept,
+            )
+            == airtime
+        )
+        assert len(kept) == 1 << q
+        cut = []
+        assert (
+            run_idle_round(frame, time_budget_s=last_slot, slot_times=cut)
+            < airtime
+        )
+        assert len(cut) == (1 << q) - 1
 
     def test_inventoried_population_is_idle(self):
         population = _population(4)

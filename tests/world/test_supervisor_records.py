@@ -3,9 +3,9 @@
 A recorded :func:`run_supervised_pass` folds every health transition
 and every failover promotion into ``obs.supervisor_records`` in the
 order the supervisors made them: member by member within a poll, the
-promotion check after the poll. That is not time order: a failed poll
-stamps its transition with the retry clock, which runs ahead of the
-poll time the promotion carries.
+promotion check after the poll. A failed poll stamps its transition
+with the retry clock, which runs ahead of the poll time; a promotion
+is stamped no earlier than the DOWN transition that caused it.
 """
 
 import dataclasses
@@ -32,7 +32,7 @@ SEED = 1234
 CRASH = [
     ("health", "reader-0", 0.4, "healthy", "degraded"),
     ("health", "reader-0", 0.9, "degraded", "down"),
-    ("promotion", "reader-1", 0.75, "reader-0", "reader-1"),
+    ("promotion", "reader-1", 0.9, "reader-0", "reader-1"),
     ("health", "reader-0", 4.05, "down", "healthy"),
 ]
 
@@ -42,7 +42,7 @@ CRASH = [
 CRASH_WITH_DROPS = [
     ("health", "reader-0", 0.4, "healthy", "degraded"),
     ("health", "reader-0", 0.9, "degraded", "down"),
-    ("promotion", "reader-1", 0.75, "reader-0", "reader-1"),
+    ("promotion", "reader-1", 0.9, "reader-0", "reader-1"),
     ("health", "reader-1", 2.4, "healthy", "degraded"),
     ("health", "reader-1", 2.65, "degraded", "healthy"),
     ("health", "reader-1", 2.9, "healthy", "degraded"),
@@ -50,7 +50,7 @@ CRASH_WITH_DROPS = [
     ("health", "reader-1", 3.9, "healthy", "degraded"),
     ("health", "reader-0", 4.05, "down", "healthy"),
     ("health", "reader-1", 4.3999999999999995, "degraded", "down"),
-    ("promotion", "reader-0", 4.25, "reader-1", "reader-0"),
+    ("promotion", "reader-0", 4.3999999999999995, "reader-1", "reader-0"),
 ]
 
 
@@ -102,3 +102,22 @@ def test_supervisor_record_order(poll_faults, expected):
     assert [
         (p.time, p.from_reader, p.to_reader) for p in outcome.promotions
     ] == [(r.time, r.old, r.new) for r in records if r.kind == "promotion"]
+
+
+@pytest.mark.parametrize(
+    "poll_faults",
+    [(), (PollFault("reader-1", drop_probability=0.7),)],
+    ids=["crash", "crash-with-standby-drops"],
+)
+def test_no_promotion_precedes_its_cause(poll_faults):
+    records = _recorded_pass(poll_faults).obs.supervisor_records
+    down_at = {}
+    promotions = 0
+    for record in records:
+        if record.kind == "health" and record.new == "down":
+            down_at[record.reader_id] = record.time
+        elif record.kind == "promotion":
+            promotions += 1
+            # The member promoted away from went down first.
+            assert record.time >= down_at[record.old]
+    assert promotions > 0
