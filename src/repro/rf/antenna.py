@@ -66,7 +66,10 @@ class PatchAntenna:
         if angle >= math.pi / 2.0:
             return self.boresight_gain_dbi + NULL_FLOOR_DB
         pattern = math.cos(angle) ** self.rolloff_exponent
-        pattern_db = linear_to_db(max(pattern, _NULL_FLOOR))
+        # max(pattern, _NULL_FLOOR), NaN included, without the call.
+        if _NULL_FLOOR > pattern:
+            pattern = _NULL_FLOOR
+        pattern_db = linear_to_db(pattern)
         return self.boresight_gain_dbi + pattern_db
 
 
@@ -92,7 +95,10 @@ class DipoleAntenna:
             return self.broadside_gain_dbi + NULL_FLOOR_DB
         pattern = math.cos((math.pi / 2.0) * math.cos(theta)) / sin_theta
         power = pattern * pattern
-        pattern_db = linear_to_db(max(power, _NULL_FLOOR))
+        # max(power, _NULL_FLOOR), as in the patch.
+        if _NULL_FLOOR > power:
+            power = _NULL_FLOOR
+        pattern_db = linear_to_db(power)
         return self.broadside_gain_dbi + pattern_db
 
 

@@ -132,7 +132,13 @@ def vector_angle(
     )
     if denom < 1e-24:
         raise ValueError("angle with a zero vector is undefined")
-    cosine = max(-1.0, min(1.0, (ax * bx + ay * by + az * bz) / denom))
+    # Clamped as ``max(-1.0, min(1.0, cosine))`` clamps it, NaN
+    # included, without the builtin calls.
+    cosine = (ax * bx + ay * by + az * bz) / denom
+    if not cosine < 1.0:
+        cosine = 1.0
+    if not cosine > -1.0:
+        cosine = -1.0
     return math.acos(cosine)
 
 

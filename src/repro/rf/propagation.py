@@ -18,9 +18,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 from .units import UHF_RFID_FREQ_HZ, db_to_linear, linear_to_db, wavelength
 from ..sim.rng import RandomStream
+
+#: ``4.0 * math.pi``, the value the amplitude formula's left factor takes.
+_FOUR_PI = 4.0 * math.pi
+
+
+def _wave_constants(freq_hz: float) -> Tuple[float, float, float]:
+    """(wavelength, its tenth, wavenumber) at ``freq_hz``: what the path
+    gain derives from its frequency, by the same operations. Raises as
+    :func:`wavelength` does."""
+    lam = wavelength(freq_hz)
+    return lam, lam / 10.0, 2.0 * math.pi / lam
+
+
+#: The constants at the band centre every calibrated environment uses,
+#: derived once rather than on every call or in a model's own state.
+_UHF_WAVE = _wave_constants(UHF_RFID_FREQ_HZ)
 
 
 @dataclass(frozen=True)
@@ -65,12 +82,17 @@ class PathLossModel:
         """
         if distance_m < 0.0:
             raise ValueError(f"distance must be non-negative, got {distance_m!r}")
-        lam = wavelength(self.freq_hz)
+        lam, min_distance, k = (
+            _UHF_WAVE
+            if self.freq_hz == UHF_RFID_FREQ_HZ
+            else _wave_constants(self.freq_hz)
+        )
         # Direct ray.
         dh = tx_height_m - rx_height_m
         d_direct = math.sqrt(distance_m * distance_m + dh * dh)
-        d_direct = max(d_direct, lam / 10.0)
-        k = 2.0 * math.pi / lam
+        # max(d_direct, min_distance), NaN included, without the call.
+        if min_distance > d_direct:
+            d_direct = min_distance
         # Excess clutter loss beyond the 1 m reference distance.
         excess_db = 0.0
         if d_direct > 1.0 and self.path_loss_exponent > 2.0:
@@ -80,15 +102,16 @@ class PathLossModel:
                 * math.log10(d_direct)
             )
         # Complex amplitude of the direct ray, normalised to Friis.
-        amp_direct = (lam / (4.0 * math.pi * d_direct))
+        amp_direct = (lam / (_FOUR_PI * d_direct))
         if not self.use_two_ray:
             return linear_to_db(amp_direct * amp_direct) - excess_db
         # Ground-reflected ray: image of the transmitter below the floor.
         sh = tx_height_m + rx_height_m
         d_reflect = math.sqrt(distance_m * distance_m + sh * sh)
-        d_reflect = max(d_reflect, lam / 10.0)
+        if min_distance > d_reflect:
+            d_reflect = min_distance
         amp_reflect = abs(self.ground_reflection_coeff) * (
-            lam / (4.0 * math.pi * d_reflect)
+            lam / (_FOUR_PI * d_reflect)
         )
         phase = k * (d_reflect - d_direct)
         if self.ground_reflection_coeff < 0.0:
@@ -188,6 +211,19 @@ class RicianFading:
         re = los + rng.gauss(0.0, sigma)
         im = rng.gauss(0.0, sigma)
         return re * re + im * im
+
+    def scale(self, k_penalty_db: float) -> Tuple[float, float]:
+        """(LOS amplitude, scatter sigma) of ``degraded(k_penalty_db)``.
+
+        The two factors :meth:`power_gain_from_normals` of the degraded
+        channel applies to its normals, by the same operations, so
+        ``re = los + z1 * sigma``, ``im = z2 * sigma`` and
+        ``re * re + im * im`` give its value bit for bit. They depend
+        on the K-factor alone: the pass simulator takes them once per
+        penalty and pass.
+        """
+        k = db_to_linear(self.k_factor_db - k_penalty_db)
+        return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (2.0 * (k + 1.0)))
 
     def power_gain_from_normals(self, z1: float, z2: float) -> float:
         """The :meth:`sample_power_gain` value for given unit normals.

@@ -46,8 +46,19 @@ class LinearPass:
 
     def position_at(self, t: float) -> Vec3:
         """Carrier origin at time ``t`` (clamped to the pass window)."""
-        clamped = min(max(t, 0.0), self.duration_s)
-        return self.start_position + self.velocity * clamped
+        # min(max(t, 0.0), duration), ties and NaN included, without
+        # the builtin calls.
+        clamped = t
+        if 0.0 > clamped:
+            clamped = 0.0
+        if self.duration_s < clamped:
+            clamped = self.duration_s
+        # start + velocity * clamped, component by component: one Vec3.
+        s = self.start_position
+        v = self.velocity
+        return Vec3(
+            s.x + v.x * clamped, s.y + v.y * clamped, s.z + v.z * clamped
+        )
 
     @property
     def end_position(self) -> Vec3:

@@ -101,11 +101,12 @@ class ComposedLink:
     """One composed link state: its geometry terms and what they gave.
 
     ``geometry`` fixes the antenna, the tag, and the tag and occluder
-    positions; the rest of a link state is the reader, the dwell's
-    interference value and the antenna's fault loss. Everything else
-    ``compose_link`` consumes — shadowing, detuning, coupling, the
-    fading normals of the tag's coherence cell — is constant for the
-    pass. ``result`` is ``None`` when the forward-link short-circuit
+    positions, and ``scene_key`` is the scene key (see
+    :func:`_scene_keys`) it was taken under; the rest of a link state
+    is the reader, the dwell's interference value and the antenna's
+    fault loss. Everything else ``compose_link`` consumes — shadowing,
+    detuning, coupling, the fading normals of the tag's coherence cell
+    — is constant for the pass. ``result`` is ``None`` when the forward-link short-circuit
     fired. The remaining fields exist so a replay can re-emit the
     waterfall record without recomputing anything; the reference
     evaluation, which never short-circuits, leaves
@@ -113,6 +114,7 @@ class ComposedLink:
     """
 
     geometry: SharedGeometry
+    scene_key: tuple
     reader_id: str
     interference_dbm: Optional[float]
     fault_loss_db: float
@@ -130,19 +132,32 @@ class PassLinkCache:
     pass, most of which recompute values that are pinned for the whole
     pass or for the current dwell geometry:
 
-    * **links** — the last :class:`ComposedLink` evaluated under each
-      ``(epc, scene key)``: the antenna, the tag's carrier position and
-      the positions of the other carriers that have occluders at the
-      round's time (see :func:`_scene_keys`). Exact float positions
-      are used (not quantized), so the key pins the link's geometry
-      terms bit for bit. A round whose reader, interference value and
-      fault loss match the stored link replays its ``LinkResult`` and
+    * **links** — the last :class:`ComposedLink` evaluated for each
+      ``(epc, antenna id)``, with the scene key it was evaluated under:
+      the antenna, the tag's carrier position and the positions of the
+      other carriers that have occluders at the round's time (see
+      :func:`_scene_keys`). Exact float positions are used (not
+      quantized), so the key pins the link's geometry terms bit for
+      bit. A round whose scene key matches the stored link's is a
+      geometry hit; if its reader, interference value and fault loss
+      match too, it replays the stored ``LinkResult`` and
       ``TagChannel`` instead of drawing fading and composing the budget
       again: the same pure arithmetic on the same inputs gives the same
       values. Otherwise the new link state is composed on the stored
       link's geometry. One link per key is enough: an antenna port is
       driven by one reader at a time, so a second reader only takes it
       over after a crash, and then simply replaces the stored state.
+      One key per (tag, antenna) is enough too. A static scene's key
+      never changes. A moving carrier (:class:`LinearPass`) is placed
+      monotonically in time along each reader's timeline, so a moving
+      scene's key can only recur on back-to-back rounds of one
+      antenna; readers' timelines run one after the other, and a
+      backup reader could only meet a key the owner left behind at a
+      bit-equal round time. A motion that can revisit a position needs
+      this argument made again.
+    * **Rician scale** — the (LOS amplitude, scatter sigma) of the
+      environment's fading for each K-factor penalty, the part of the
+      fading gain that depends on the obstruction alone.
     * **fading normals** — the standard-normal pair behind each Rician
       draw, keyed by ``(reader_id, antenna_id, epc, coherence cell)``.
       The serial simulator derives a fresh seeded stream from exactly
@@ -175,6 +190,7 @@ class PassLinkCache:
     __slots__ = (
         "links",
         "fading_normals",
+        "rician",
         "interference",
         "geometry_hits",
         "geometry_misses",
@@ -186,10 +202,11 @@ class PassLinkCache:
     )
 
     def __init__(self) -> None:
-        self.links: Dict[tuple, ComposedLink] = {}
+        self.links: Dict[Tuple[str, str], ComposedLink] = {}
         self.fading_normals: Dict[
             Tuple[str, str, str, int, int, int], Tuple[float, float]
         ] = {}
+        self.rician: Dict[float, Tuple[float, float]] = {}
         self.interference: Dict[tuple, Optional[float]] = {}
         self.geometry_hits = 0
         self.geometry_misses = 0
@@ -375,6 +392,8 @@ class CompiledScene:
     #: Static per-tag coupling and mount-detuning penalties, by EPC.
     coupling_db: Dict[str, float]
     detuning_db: Dict[str, float]
+    #: Each tag's world-frame dipole axis components, by EPC.
+    axes: Dict[str, Tuple[float, float, float]]
     #: Geometry terms by (epc, scene key), filled the first time a pass
     #: evaluates each link; ``None`` unless the scene is static, since a
     #: moving carrier's keys would grow without bound.
@@ -475,27 +494,28 @@ class _IdleProof:
 class _Scene:
     """Where every carrier is at one round's time, taken once per round.
 
-    ``placed`` pairs each carrier with its position; the round's tag
-    positions, occluder centres and geometry-cache keys all read it, so
-    a round calls ``position_at`` once per carrier.
+    ``placed`` pairs each carrier with its position, and ``keys`` holds
+    each carrier's geometry-cache key (see :func:`_scene_keys`), which
+    starts with that position's coordinates; the round's tag
+    positions, occluder centres and keys all read them, so a round
+    calls ``position_at`` once per carrier.
     """
 
-    __slots__ = ("placed", "positions", "keys")
+    __slots__ = ("placed", "keys")
 
     def __init__(
         self, carriers: Sequence[CarrierGroup], antenna_id: str, t: float
     ) -> None:
         self.placed = [(c, c.motion.position_at(t)) for c in carriers]
-        self.positions = {id(c): pos for c, pos in self.placed}
         self.keys = _scene_keys(antenna_id, self.placed)
 
     def tag_position(
         self, carrier: CarrierGroup, tag: Tag
     ) -> Tuple[float, float, float]:
         """The tag's world position, as the sum ``Vec3`` addition makes."""
-        pos = self.positions[id(carrier)]
+        key = self.keys[id(carrier)]
         local = tag.local_position
-        return (pos.x + local.x, pos.y + local.y, pos.z + local.z)
+        return (key[1] + local.x, key[2] + local.y, key[3] + local.z)
 
 
 def _scene_keys(
@@ -509,6 +529,10 @@ def _scene_keys(
     riding another carrier can cross a stationary tag's sight line, so
     the tag's own position alone does not pin its obstruction.
     """
+    if len(placed) == 1:
+        # A walker or a cart alone: no other carrier to add.
+        ((carrier, own),) = placed
+        return {id(carrier): (antenna_id, own.x, own.y, own.z)}
     scenes: Dict[int, tuple] = {}
     for carrier, own in placed:
         scene = [antenna_id, own.x, own.y, own.z]
@@ -646,8 +670,13 @@ class PortalPassSimulator:
         antenna: AntennaInstallation,
         tag: Tag,
         tag_pos: Tuple[float, float, float],
+        axis: Tuple[float, float, float],
     ) -> SharedGeometry:
-        """One ray-march and one link-terms evaluation: a link's geometry terms."""
+        """One ray-march and one link-terms evaluation: a link's geometry terms.
+
+        ``axis`` is the tag's dipole axis components, as a compiled
+        scene holds them (:attr:`CompiledScene.axes`).
+        """
         tx, ty, tz = tag_pos
         a = antenna.position
         ax = a.x
@@ -662,13 +691,13 @@ class PortalPassSimulator:
                 -(Vec3(tx, ty, tz) - a).normalized()
             )
         b = antenna.boresight
-        k = tag.world_dipole_axis()
+        kx, ky, kz = axis
         terms = compute_link_terms(
             self.env,
             ax, ay, az,
             b.x, b.y, b.z,
             tx, ty, tz,
-            k.x, k.y, k.z,
+            kx, ky, kz,
             tag_gain_override,
         )
         return terms, obstruction_db, reflector
@@ -726,7 +755,9 @@ class PortalPassSimulator:
         epc = tag.epc
         compiled = ctx.scene
         tag_pos = scene.tag_position(carrier, tag)
-        geometry = self._geometry_terms(scene.placed, antenna, tag, tag_pos)
+        geometry = self._geometry_terms(
+            scene.placed, antenna, tag, tag_pos, compiled.axes[epc]
+        )
         terms, obstruction_db, reflector = geometry
         fading_rng = _fading_stream(
             ctx, self._fading_key(reader, antenna, tag, tag_pos)
@@ -751,8 +782,9 @@ class PortalPassSimulator:
             reply_decode_p=self._decode_probability(result),
         )
         link = ComposedLink(
-            geometry, reader.reader_id, interference_dbm, fault_loss_db,
-            result, channel, fading_gain, None,
+            geometry, scene.keys[id(carrier)], reader.reader_id,
+            interference_dbm, fault_loss_db, result, channel, fading_gain,
+            None,
         )
         if ctx.rec is not None:
             self._record_composed(ctx, link, tag, antenna, reader, t)
@@ -772,9 +804,10 @@ class PortalPassSimulator:
     ) -> ComposedLink:
         """Cache-assisted equivalent of :meth:`_evaluate_tag`.
 
-        The pass's link is keyed by the tag and its carrier's scene key
-        (see :func:`_scene_keys`), which pin the tag's world position
-        and the geometry terms the link carries. A link state the stored
+        The pass's link for the tag and the antenna is a geometry hit
+        when it was taken under the round's scene key (see
+        :func:`_scene_keys`), which pins the tag's world position and
+        the geometry terms the link carries. A link state the stored
         link does not match is composed on its geometry; a key the pass
         has not met takes its geometry from the compiled scene's table
         when an earlier pass over a static scene met it, and evaluates
@@ -788,22 +821,25 @@ class PortalPassSimulator:
         reference produces for the same round.
         """
         cache = ctx.cache
-        key = (tag.epc, scene.keys[id(carrier)])
-        link = cache.links.get(key)
+        epc = tag.epc
+        key = scene.keys[id(carrier)]
+        slot = (epc, antenna.antenna_id)
+        link = cache.links.get(slot)
         tag_pos = None
-        if link is None:
+        if link is None or link.scene_key != key:
+            link = None
             # Still a miss when the compiled scene answers it: the
             # counters describe this pass's cache.
             cache.geometry_misses += 1
             table = ctx.scene.geometry
-            geometry = table.get(key) if table is not None else None
+            geometry = table.get((epc, key)) if table is not None else None
             if geometry is None:
                 tag_pos = scene.tag_position(carrier, tag)
                 geometry = self._geometry_terms(
-                    scene.placed, antenna, tag, tag_pos
+                    scene.placed, antenna, tag, tag_pos, ctx.scene.axes[epc]
                 )
                 if table is not None:
-                    table[key] = geometry
+                    table[(epc, key)] = geometry
         else:
             cache.geometry_hits += 1
             geometry = link.geometry
@@ -823,10 +859,10 @@ class PortalPassSimulator:
             if tag_pos is None:
                 tag_pos = scene.tag_position(carrier, tag)
             link = self._compose_cached(
-                ctx, geometry, tag, tag_pos, antenna, reader,
+                ctx, geometry, key, tag, tag_pos, antenna, reader,
                 interference_dbm, fault_loss_db,
             )
-            cache.links[key] = link
+            cache.links[slot] = link
         if ctx.rec is not None:
             self._record_composed(ctx, link, tag, antenna, reader, t)
         return link
@@ -835,6 +871,7 @@ class PortalPassSimulator:
         self,
         ctx: _Pass,
         geometry: SharedGeometry,
+        scene_key: tuple,
         tag: Tag,
         tag_pos: Tuple[float, float, float],
         antenna: AntennaInstallation,
@@ -865,6 +902,7 @@ class PortalPassSimulator:
             cache.short_circuits += 1
             return ComposedLink(
                 geometry,
+                scene_key,
                 reader.reader_id,
                 interference_dbm,
                 fault_loss_db,
@@ -882,9 +920,17 @@ class PortalPassSimulator:
             cache.fading_normals[fading_key] = normals
         else:
             cache.fading_hits += 1
-        fading_gain = self.env.channel.fading.degraded(
-            obstruction_db * self.params.k_penalty_per_obstruction
-        ).power_gain_from_normals(normals[0], normals[1])
+        # The fading draw of the K-factor degraded by this obstruction:
+        # RicianFading.power_gain_from_normals on a memoized scale.
+        k_penalty_db = obstruction_db * self.params.k_penalty_per_obstruction
+        scale = cache.rician.get(k_penalty_db)
+        if scale is None:
+            scale = self.env.channel.fading.scale(k_penalty_db)
+            cache.rician[k_penalty_db] = scale
+        los, sigma = scale
+        re = los + normals[0] * sigma
+        im = normals[1] * sigma
+        fading_gain = re * re + im * im
         result = compose_link(
             self.env,
             tx_power,
@@ -898,6 +944,7 @@ class PortalPassSimulator:
         )
         return ComposedLink(
             geometry,
+            scene_key,
             reader.reader_id,
             interference_dbm,
             fault_loss_db,
@@ -1011,6 +1058,10 @@ class PortalPassSimulator:
         static = all(
             isinstance(c.motion, StationaryPlacement) for c in carriers
         )
+        axes: Dict[str, Tuple[float, float, float]] = {}
+        for _, tag in tags:
+            axis = tag.world_dipole_axis()
+            axes[tag.epc] = (axis.x, axis.y, axis.z)
         return CompiledScene(
             simulator=self,
             carriers=tuple(carriers),
@@ -1021,6 +1072,7 @@ class PortalPassSimulator:
             static=static,
             coupling_db=self._coupling_table(carriers),
             detuning_db={tag.epc: tag.detuning_db() for _, tag in tags},
+            axes=axes,
             geometry={} if static else None,
         )
 
@@ -1168,12 +1220,14 @@ class PortalPassSimulator:
         evaluates no link either), or when the links of every
         uninventoried tag, evaluated first, energize none of them. Once
         the Q algorithm sits at its floor (:attr:`QAlgorithm.at_floor`)
-        the idle rounds that need no evaluation run in one loop up to
-        the next edge (see :meth:`_idle_run`). An idle round's co-channel
-        draw and cache counters are the ones the full round would have
-        made, and the recorder gets the same link evaluations and empty
-        slots. The reference path (``use_link_cache=False``) runs every
-        round.
+        the following idle rounds run in one loop up to the next edge
+        (see :meth:`_idle_run`): rounds that need no evaluation, and in
+        a moving scene rounds whose evaluated links energize no tag, up
+        to the first round in which one does. An idle round's
+        co-channel draw and cache counters are the ones the full round
+        would have made, and the recorder gets the same link
+        evaluations and empty slots. The reference path
+        (``use_link_cache=False``) runs every round.
         """
         rec = ctx.rec
         cache = ctx.cache
@@ -1188,10 +1242,6 @@ class PortalPassSimulator:
             q_initial=self.params.q_initial,
             q_min=self.params.q_min,
             q_max=self.params.q_max,
-        )
-        evaluate = (
-            self._evaluate_tag_cached if cache is not None
-            else self._evaluate_tag
         )
         tag_count = len(compiled.population)
         rounds = 0
@@ -1244,6 +1294,7 @@ class PortalPassSimulator:
             )
 
             everyone_read = session.inventoried_count == tag_count
+            tags: Optional[List[Tuple[CarrierGroup, Tag]]] = None
             if cache is not None and (
                 everyone_read
                 or (
@@ -1264,15 +1315,15 @@ class PortalPassSimulator:
                 # order.
                 links: List[Tuple[Tag, ComposedLink]] = []
                 if not everyone_read:
-                    scene = _Scene(compiled.carriers, antenna.antenna_id, t)
-                    for epc in compiled.population:
-                        if session.is_inventoried(epc):
-                            continue
-                        carrier, tag = compiled.epc_index[epc]
-                        links.append((tag, evaluate(
-                            ctx, scene, carrier, tag, antenna, reader, t,
-                            interference, fault_loss_db,
-                        )))
+                    tags = [
+                        compiled.epc_index[epc]
+                        for epc in compiled.population
+                        if not session.is_inventoried(epc)
+                    ]
+                    links = self._evaluate_round(
+                        ctx, reader, antenna, tags, t, interference,
+                        fault_loss_db,
+                    )
                 if cache is None or any(
                     link.channel.energized for _, link in links
                 ):
@@ -1283,11 +1334,13 @@ class PortalPassSimulator:
                     )
                     rounds += 1
                     continue
-                idle = (
-                    _IdleProof(antenna, interference, fault_loss_db, links)
-                    if compiled.static
-                    else None
-                )
+                if compiled.static:
+                    # The links stay dead while the link state holds:
+                    # the proof stands in for evaluating them again.
+                    idle = _IdleProof(
+                        antenna, interference, fault_loss_db, links
+                    )
+                    tags = None
 
             # No tag contends: a Query and empty slots.
             slot_times: Optional[List[float]] = [] if rec is not None else None
@@ -1300,18 +1353,18 @@ class PortalPassSimulator:
             t += max(elapsed, self.timing.query_s)
 
             # The next rounds need no evaluation when everyone is read
-            # (then there is no proof) or a proof holds. A recorded
-            # proof replay feeds float histograms, and a detailed
-            # recording keeps every slot: those stay round by round.
-            if (
-                q_algo.at_floor
-                and (everyone_read or idle is not None)
-                and (rec is None or (everyone_read and not rec.detail))
+            # (then there is no proof) or the proof holds; in a moving
+            # scene each evaluates this round's uninventoried ``tags``
+            # again. A recorded proof replay feeds float histograms,
+            # and a detailed recording keeps every slot: those stay
+            # round by round.
+            if q_algo.at_floor and (
+                rec is None or (idle is None and not rec.detail)
             ):
                 if floor_frame is None:
                     floor_frame = idle_round_airtime(q_algo.q, self.timing)
-                run, t, drawn = self._idle_run(
-                    ctx, reader, segment, dwell, idle, floor_frame, t
+                run, t, drawn, links = self._idle_run(
+                    ctx, reader, segment, dwell, idle, floor_frame, t, tags
                 )
                 if run:
                     rounds += run
@@ -1322,7 +1375,40 @@ class PortalPassSimulator:
                             reader.reader_id, antenna.antenna_id, run,
                             1 << q_algo.q,
                         )
+                if links is not None:
+                    # The run stopped at a round in which a tag is
+                    # energized: its links and co-channel draw are that
+                    # round's.
+                    t = self._full_round(
+                        ctx, reader, antenna, links, protocol_rng, q_algo,
+                        session, t, events,
+                    )
+                    rounds += 1
         return rounds
+
+    def _evaluate_round(
+        self,
+        ctx: _Pass,
+        reader: ReaderAssignment,
+        antenna: AntennaInstallation,
+        tags: Sequence[Tuple[CarrierGroup, Tag]],
+        t: float,
+        interference_dbm: Optional[float],
+        fault_loss_db: float,
+    ) -> List[Tuple[Tag, ComposedLink]]:
+        """The links of ``tags`` (carrier, tag) in the round at ``t``, in order."""
+        evaluate = (
+            self._evaluate_tag_cached if ctx.cache is not None
+            else self._evaluate_tag
+        )
+        scene = _Scene(ctx.scene.carriers, antenna.antenna_id, t)
+        return [
+            (tag, evaluate(
+                ctx, scene, carrier, tag, antenna, reader, t,
+                interference_dbm, fault_loss_db,
+            ))
+            for carrier, tag in tags
+        ]
 
     def _full_round(
         self,
@@ -1384,25 +1470,36 @@ class PortalPassSimulator:
         proof: Optional[_IdleProof],
         floor_frame: Tuple[float, float],
         t: float,
-    ) -> Tuple[int, float, Optional[bool]]:
+        tags: Optional[Sequence[Tuple[CarrierGroup, Tag]]],
+    ) -> Tuple[
+        int, float, Optional[bool], Optional[List[Tuple[Tag, ComposedLink]]]
+    ]:
         """Run the idle rounds after one at the Q floor, in one loop.
 
         At the floor an idle round leaves the Q algorithm as it is, and
         unless the pass end truncates it, it is the same frame with the
         same airtime (``floor_frame``, from :func:`idle_round_airtime`).
-        So while the next round needs no evaluation — the session has
-        inventoried every tag (``proof`` is ``None``) or ``proof`` still
-        holds — a round only adds that airtime to ``t`` and draws its
-        co-channel Bernoulli. The run stops before the first round that
-        falls past the segment's end, that the pass end would truncate,
-        that the TDMA schedule gives to another antenna (``dwell`` is
-        this one's index among the active ones) or whose interference
-        value breaks the proof. A silent port cannot start inside a run:
-        the run keeps its antenna and its segment.
+        So while the next round is idle, it only adds that airtime to
+        ``t`` and draws its co-channel Bernoulli. A round is idle when
+        the session has inventoried every tag (``proof`` and ``tags``
+        are ``None``), when ``proof`` still holds, or, in a moving
+        scene, when the links of the uninventoried ``tags``, evaluated
+        at the round's time as the round itself evaluates them, energize
+        none of them. The run stops before the first round that falls
+        past the segment's end, that the pass end would truncate, that
+        the TDMA schedule gives to another antenna (``dwell`` is this
+        one's index among the active ones) or whose interference value
+        breaks the proof. It also stops at the first round in which a
+        link of ``tags`` energizes. A silent port cannot start inside a
+        run: the run keeps its antenna and its segment, and the session
+        reads nothing, so ``tags`` stays the uninventoried set.
 
-        Returns the rounds run, the time after them, and the co-channel
+        Returns the rounds run, the time after them, the co-channel
         outcome already drawn for the round the run stopped before
-        (``None`` when it drew none for it).
+        (``None`` when it drew none for it), and the links of that
+        round when one of them energizes (``None`` otherwise): that
+        round is then an inventory round on those links, its co-channel
+        draw made.
         """
         duration = ctx.scene.duration
         last_slot, airtime = floor_frame
@@ -1415,6 +1512,12 @@ class PortalPassSimulator:
         # Interference value by co-channel outcome, taken through the
         # memo as the rounds themselves would take it.
         values: Dict[bool, Optional[float]] = {}
+        fault_loss_db = segment.ports[antenna.antenna_id][1]
+        interference = None
+        if tags is not None and not draws:
+            interference = self._interference_for(
+                ctx, reader, antenna, segment, False
+            )
         run = 0
         while (
             t < end
@@ -1427,14 +1530,18 @@ class PortalPassSimulator:
                     values[co_channel] = self._interference_for(
                         ctx, reader, antenna, segment, co_channel
                     )
-                if (
-                    proof is not None
-                    and values[co_channel] != proof.interference_dbm
-                ):
-                    return run, t, co_channel
+                interference = values[co_channel]
+                if proof is not None and interference != proof.interference_dbm:
+                    return run, t, co_channel, None
+            if tags is not None:
+                links = self._evaluate_round(
+                    ctx, reader, antenna, tags, t, interference, fault_loss_db
+                )
+                if any(link.channel.energized for _, link in links):
+                    return run, t, None, links
             t += step
             run += 1
-        return run, t, None
+        return run, t, None, None
 
     def _fault_timeline(
         self, plan: Optional["FaultPlan"], reader: ReaderAssignment
@@ -1516,7 +1623,16 @@ class PortalPassSimulator:
         return segments
 
     def _other_radios(self, reader: ReaderAssignment) -> List[ReaderRadio]:
-        """Radios of every *other* reader in the portal (the aggressors)."""
+        """Radios of every *other* reader in the portal (the aggressors).
+
+        Known fault, kept until a physics fix recalibrates the goldens:
+        every radio is given ``reader_antenna.boresight_gain_dbi``
+        whatever the direction to its victim, so two readers whose
+        antennas face the same way couple as if aimed at each other.
+        Without dense-reader mode that jams them far beyond what the
+        geometry allows: ``dual_reader_portal(dense_reader_mode=False)``
+        reads no tag of a plane at 0.5-6 m.
+        """
         radios = []
         for other in self.portal.readers:
             if other.reader_id == reader.reader_id:
@@ -1556,6 +1672,11 @@ class PortalPassSimulator:
         ``co_channel`` is the round's draw (:meth:`_co_channel`). The
         Friis sum of the live aggressors for that outcome is memoized in
         the pass's link cache. An ambient burst adds on top.
+
+        The victim, like every aggressor (see :meth:`_other_radios`),
+        is given its antenna's boresight gain toward the other radios,
+        whatever their direction: a known fault that overstates
+        reader-to-reader coupling.
         """
         interference = None
         if segment.live_radios:

@@ -24,8 +24,8 @@ from repro.rf.antenna import (
 from repro.rf.geometry import Vec3, segment_sphere_chord_length
 from repro.rf.link import LinkEnvironment, LinkGeometry, LinkTerms, compute_link_terms
 from repro.rf.materials import BODY, CARDBOARD, LIQUID, METAL
-from repro.rf.propagation import ChannelModel, PathLossModel
-from repro.rf.units import db_to_linear, linear_to_db
+from repro.rf.propagation import ChannelModel, PathLossModel, RicianFading
+from repro.rf.units import db_to_linear, linear_to_db, wavelength
 from repro.world.motion import StationaryPlacement
 from repro.world.portal import AntennaInstallation, single_antenna_portal
 from repro.world.simulation import (
@@ -469,6 +469,12 @@ class TestObstruction:
         assert got == (0.0, False)
 
 
+def _axis(tag):
+    """The tag's dipole axis components, as a compiled scene holds them."""
+    axis = tag.world_dipole_axis()
+    return (axis.x, axis.y, axis.z)
+
+
 tag_designs = st.sampled_from(
     [None, TagDesign.SINGLE_DIPOLE, TagDesign.DUAL_DIPOLE, TagDesign.METAL_MOUNT]
 )
@@ -500,11 +506,13 @@ class TestGeometryMiss:
         except ValueError:
             with pytest.raises(ValueError):
                 simulator._geometry_terms(
-                    placed, ANTENNA, tag, (tag_pos.x, tag_pos.y, tag_pos.z)
+                    placed, ANTENNA, tag, (tag_pos.x, tag_pos.y, tag_pos.z),
+                    _axis(tag),
                 )
             return
         got = simulator._geometry_terms(
-            placed, ANTENNA, tag, (tag_pos.x, tag_pos.y, tag_pos.z)
+            placed, ANTENNA, tag, (tag_pos.x, tag_pos.y, tag_pos.z),
+            _axis(tag),
         )
         assert got == expected
 
@@ -515,5 +523,100 @@ class TestGeometryMiss:
             "0" * 24, orientation=TagOrientation.CASE_1_AXIAL_EDGE, design=design
         )
         tag_pos = Vec3(0.0, 1.0, 2.5)
-        got = simulator._geometry_terms([], ANTENNA, tag, (0.0, 1.0, 2.5))
+        got = simulator._geometry_terms(
+            [], ANTENNA, tag, (0.0, 1.0, 2.5), _axis(tag)
+        )
         assert got == oracle_geometry_terms(simulator, [], ANTENNA, tag, tag_pos)
+
+
+# ---------------------------------------------------------------------------
+# kernel trims: values taken once that the per-call forms derived each time
+
+
+def oracle_path_gain_db(model, distance_m, tx_height_m, rx_height_m):
+    """``PathLossModel.path_gain_db`` deriving its wavelength terms per call."""
+    lam = wavelength(model.freq_hz)
+    dh = tx_height_m - rx_height_m
+    d_direct = math.sqrt(distance_m * distance_m + dh * dh)
+    d_direct = max(d_direct, lam / 10.0)
+    k = 2.0 * math.pi / lam
+    excess_db = 0.0
+    if d_direct > 1.0 and model.path_loss_exponent > 2.0:
+        excess_db = (
+            10.0 * (model.path_loss_exponent - 2.0) * math.log10(d_direct)
+        )
+    amp_direct = (lam / (4.0 * math.pi * d_direct))
+    if not model.use_two_ray:
+        return linear_to_db(amp_direct * amp_direct) - excess_db
+    sh = tx_height_m + rx_height_m
+    d_reflect = math.sqrt(distance_m * distance_m + sh * sh)
+    d_reflect = max(d_reflect, lam / 10.0)
+    amp_reflect = abs(model.ground_reflection_coeff) * (
+        lam / (4.0 * math.pi * d_reflect)
+    )
+    phase = k * (d_reflect - d_direct)
+    if model.ground_reflection_coeff < 0.0:
+        phase += math.pi
+    real = amp_direct + amp_reflect * math.cos(phase)
+    imag = amp_reflect * math.sin(phase)
+    power = real * real + imag * imag
+    if power <= 0.0:
+        power = 1e-30
+    return linear_to_db(power) - excess_db
+
+
+path_models = st.builds(
+    PathLossModel,
+    freq_hz=st.sampled_from([865.7e6, 915e6, 2.45e9]),
+    use_two_ray=st.booleans(),
+    ground_reflection_coeff=st.sampled_from([-0.7, -0.35, 0.0, 0.4]),
+    path_loss_exponent=st.sampled_from([2.0, 2.1, 2.8]),
+)
+heights = st.floats(min_value=0.0, max_value=3.0)
+
+
+class TestPathGainConstants:
+    @EXAMPLES
+    @given(path_models, st.floats(min_value=0.0, max_value=12.0), heights, heights)
+    def test_matches_the_per_call_derivation(self, model, distance, h_tx, h_rx):
+        assert model.path_gain_db(distance, h_tx, h_rx) == oracle_path_gain_db(
+            model, distance, h_tx, h_rx
+        )
+
+    def test_short_range_floor_and_bad_frequency(self):
+        model = PathLossModel()
+        assert model.path_gain_db(0.0, 1.0, 1.0) == oracle_path_gain_db(
+            model, 0.0, 1.0, 1.0
+        )
+        with pytest.raises(ValueError, match="frequency"):
+            PathLossModel(freq_hz=0.0).path_gain_db(1.0)
+
+
+class TestRicianScale:
+    @EXAMPLES
+    @given(
+        st.sampled_from([7.0, 3.0, -40.0]),
+        st.floats(min_value=-5.0, max_value=60.0),
+        st.floats(min_value=-8.0, max_value=8.0),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    def test_scale_gives_the_degraded_draw(self, k_factor_db, penalty, z1, z2):
+        # The pass simulator's fading gain on a memoized scale.
+        los, sigma = RicianFading(k_factor_db).scale(penalty)
+        re = los + z1 * sigma
+        im = z2 * sigma
+        gain = re * re + im * im
+        expected = RicianFading(k_factor_db - penalty).power_gain_from_normals(
+            z1, z2
+        )
+        assert gain == expected
+        assert gain == RicianFading(k_factor_db).degraded(
+            penalty
+        ).power_gain_from_normals(z1, z2)
+
+    def test_no_penalty_is_the_channel_itself(self):
+        fading = RicianFading()
+        los, sigma = fading.scale(0.0)
+        # Unit mean power: LOS power plus both scatter variances.
+        assert los * los + 2.0 * sigma * sigma == pytest.approx(1.0)
+        assert (los, sigma) == fading.degraded(0.0).scale(0.0)

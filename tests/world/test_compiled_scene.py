@@ -116,6 +116,18 @@ class TestCompiledOnce:
             simulator.run_pass([plane], SeedSequence(SEED), trial)
         assert len(link_terms) == 3 * len(plane.tags)
 
+    def test_dipole_axes_taken_once(self):
+        task = SCENES["cart-front"].build()
+        scene = task.simulator.compile(task.carriers)
+        assert scene.axes == {
+            tag.epc: (
+                tag.world_dipole_axis().x,
+                tag.world_dipole_axis().y,
+                tag.world_dipole_axis().z,
+            )
+            for _, tag in scene.tags
+        }
+
     def test_moving_scene_keeps_no_geometry(self):
         task = SCENES["cart-front"].build()
         task(SeedSequence(SEED), 0)
@@ -174,13 +186,26 @@ class TestTracedNames:
 
 class TestTaskPickle:
     def test_pickle_size_unchanged_after_a_pass(self):
-        task = SCENES["tag-plane-3m"].build()
-        before = pickle.dumps(task)
-        task(SeedSequence(SEED), 0)
-        assert task._scene is not None
-        after = pickle.dumps(task)
-        assert len(after) == len(before)
-        assert pickle.loads(after)._scene is None
+        # A plain pass task and a supervised one, and the link models
+        # each simulator holds: a pass memoizes nothing into them.
+        for task in (SCENES["tag-plane-3m"].build(), TestSupervisedTask._task()):
+            env = task.simulator.env
+            models = (
+                env,
+                env.channel,
+                env.channel.path_loss,
+                env.channel.fading,
+                env.reader_antenna,
+                env.tag_antenna,
+            )
+            before = pickle.dumps(task)
+            models_before = [pickle.dumps(model) for model in models]
+            task(SeedSequence(SEED), 0)
+            assert task._scene is not None
+            after = pickle.dumps(task)
+            assert len(after) == len(before)
+            assert pickle.loads(after)._scene is None
+            assert [pickle.dumps(model) for model in models] == models_before
 
     def test_replace_and_equality_ignore_the_scene(self):
         task = SCENES["tag-plane-3m"].build()

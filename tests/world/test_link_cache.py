@@ -323,3 +323,45 @@ class TestCacheObject:
     def test_default_simulator_uses_cache(self):
         sim = PortalPassSimulator(portal=single_antenna_portal())
         assert sim.use_link_cache is True
+
+    @staticmethod
+    def _caches(monkeypatch):
+        caches = []
+
+        def capture():
+            caches.append(PassLinkCache())
+            return caches[-1]
+
+        monkeypatch.setattr(simulation, "PassLinkCache", capture)
+        return caches
+
+    def test_moving_scene_keeps_one_link_per_tag_and_antenna(self, monkeypatch):
+        # A moving carrier's key never comes back once left, so the
+        # memo keeps only the latest link of each (tag, antenna).
+        caches = self._caches(monkeypatch)
+        carrier, _ = build_box_cart([BoxFace.FRONT])
+        _sim(dual_antenna_portal(), True).run_pass(
+            [carrier], SeedSequence(20070625), 0
+        )
+        (cache,) = caches
+        assert set(cache.links) <= {
+            (tag.epc, antenna_id)
+            for tag in carrier.tags
+            for antenna_id in ("ant-0", "ant-1")
+        }
+        assert cache.geometry_hits == 0
+        assert cache.geometry_misses > 100 * len(cache.links)
+        for (epc, antenna_id), link in cache.links.items():
+            assert link.scene_key[0] == antenna_id
+
+    def test_static_scene_hits_the_stored_link(self, monkeypatch):
+        caches = self._caches(monkeypatch)
+        plane = build_tag_plane(2.0)
+        _sim(dual_antenna_portal(), True).run_pass(
+            [plane], SeedSequence(20070625), 0
+        )
+        (cache,) = caches
+        # Each (tag, antenna) the pass evaluates misses once.
+        assert len(plane.tags) < len(cache.links) <= 2 * len(plane.tags)
+        assert cache.geometry_misses == len(cache.links)
+        assert cache.geometry_hits > 0
